@@ -35,6 +35,18 @@ impl Move {
         }
     }
 
+    /// The same operation on node `v` (relabels a move between node
+    /// numberings).
+    #[inline]
+    pub fn on(self, v: NodeId) -> Move {
+        match self {
+            Move::Load(_) => Move::Load(v),
+            Move::Store(_) => Move::Store(v),
+            Move::Compute(_) => Move::Compute(v),
+            Move::Delete(_) => Move::Delete(v),
+        }
+    }
+
     /// Whether this is a transfer operation (Step 1 or 2), i.e. costs 1.
     #[inline]
     pub fn is_transfer(self) -> bool {

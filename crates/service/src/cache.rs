@@ -3,12 +3,16 @@
 //!
 //! Keys come from [`Instance::canonical_key`], so two submissions of
 //! the same instance — even under a node relabeling, when the
-//! refinement individualizes — land in the same slot. Entries carry a
-//! quality rank, and [`SolutionCache::insert_or_upgrade`] only ever
-//! *improves* a slot: a proved [`Quality::Optimal`] (or
-//! [`Quality::Infeasible`]) result is final; an
-//! [`Quality::UpperBound`] is replaced by any cheaper bound, any
-//! tighter lower bound at equal cost, and any proved result.
+//! refinement individualizes — land in the same slot. A slot holds a
+//! trace in the node numbering that filled it, so the server answers
+//! from it only when that trace certifies on the submitted instance,
+//! and only requests in a fitting numbering write to it
+//! ([`SolutionCache::lookup_certified`]). Entries carry a quality rank,
+//! and [`SolutionCache::insert_or_upgrade`] only ever *improves* a
+//! slot: a proved [`Quality::Optimal`] (or [`Quality::Infeasible`])
+//! result is final; an [`Quality::UpperBound`] is replaced by any
+//! cheaper bound, any tighter lower bound at equal cost, and any proved
+//! result.
 //!
 //! Whether a cached entry can answer a request without re-solving is
 //! the *request's* choice ([`AcceptPolicy`]): by default only proved
@@ -29,12 +33,13 @@
 //! inserts — so a restarted server keeps every proven `Optimal` it can
 //! still read, and a stale snapshot can never downgrade fresher
 //! results. Snapshot files are the server's own state (entries are
-//! served back without re-validation, like live cache entries), so
-//! they belong in a trusted state directory, not a network input.
+//! trusted like live ones; only their fit to a request's node numbering
+//! is checked), so they belong in a trusted state directory, not a
+//! network input.
 //!
 //! [`Instance::canonical_key`]: rbp_core::Instance::canonical_key
 
-use rbp_core::CanonicalKey;
+use rbp_core::{certify, CanonicalKey, Instance};
 use rbp_solvers::{wire, Quality, Solution};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -70,6 +75,21 @@ pub struct CachedEntry {
     /// `solution.cost` scaled by the instance's model ε (the comparison
     /// key for upper-bound upgrades).
     pub scaled_cost: u128,
+}
+
+/// What [`SolutionCache::lookup_certified`] found for a request.
+#[derive(Clone, Debug)]
+pub enum Lookup {
+    /// An entry of acceptable quality whose trace certifies on the
+    /// request's instance: answer from it.
+    Hit(CachedEntry),
+    /// No entry of acceptable quality: solve, and offer the result to
+    /// the slot.
+    Miss,
+    /// The slot's trace does not replay on the request's node numbering
+    /// (a relabeled repeat): solve, but leave the slot to the numbering
+    /// that filled it, so repeats in that numbering keep hitting.
+    Foreign,
 }
 
 /// Counters describing cache behaviour since construction.
@@ -124,6 +144,22 @@ fn lock_map(
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Whether `entry`'s quality satisfies `accept`.
+fn accepts(entry: &CachedEntry, accept: AcceptPolicy) -> bool {
+    match accept {
+        AcceptPolicy::Optimal => rank(&entry.solution.quality) == 1,
+        AcceptPolicy::Bound => true,
+    }
+}
+
+/// Whether `entry`'s trace replays on `instance`'s node numbering at the
+/// entry's cost.
+fn fits(instance: &Instance, entry: &CachedEntry) -> bool {
+    let sol = &entry.solution;
+    matches!(sol.quality, Quality::Infeasible)
+        || certify(instance, &sol.trace).is_ok_and(|c| c.matches(&sol.cost))
+}
+
 /// Quality rank for upgrade decisions: higher wins at equal cost class.
 fn rank(q: &Quality) -> u8 {
     match q {
@@ -163,21 +199,41 @@ impl SolutionCache {
     /// Looks up `key`; returns a clone of the entry when its quality
     /// satisfies `accept`. Counts a hit or a miss either way.
     pub fn lookup(&self, key: &CanonicalKey, accept: AcceptPolicy) -> Option<CachedEntry> {
-        let map = lock_map(&self.map);
-        let found = map.get(key).filter(|e| match accept {
-            AcceptPolicy::Optimal => rank(&e.solution.quality) == 1,
-            AcceptPolicy::Bound => true,
-        });
-        match found {
-            Some(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = lock_map(&self.map)
+            .get(key)
+            .filter(|e| accepts(e, accept))
+            .cloned();
+        self.count(found.is_some());
+        found
+    }
+
+    /// [`lookup`](Self::lookup) for a request on `instance`, which must
+    /// be the instance `key` was computed from. A relabeled instance
+    /// shares the canonical key of the one that filled the slot, but the
+    /// cached trace names that instance's node ids, so the slot answers
+    /// only if its trace certifies on `instance` at the entry's cost;
+    /// otherwise it is [`Lookup::Foreign`] and counts as a miss.
+    /// Infeasibility carries no trace and fits every numbering.
+    pub fn lookup_certified(
+        &self,
+        instance: &Instance,
+        key: &CanonicalKey,
+        accept: AcceptPolicy,
+    ) -> Lookup {
+        let entry = lock_map(&self.map).get(key).cloned();
+        let found = match entry {
+            None => Lookup::Miss,
+            Some(e) if !fits(instance, &e) => Lookup::Foreign,
+            Some(e) if accepts(&e, accept) => Lookup::Hit(e),
+            Some(_) => Lookup::Miss,
+        };
+        self.count(matches!(found, Lookup::Hit(_)));
+        found
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Inserts a fresh result, or upgrades the incumbent when the new
@@ -346,8 +402,8 @@ impl SolutionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbp_core::{CostModel, Instance};
-    use rbp_graph::generate;
+    use rbp_core::CostModel;
+    use rbp_graph::{generate, DagBuilder};
     use rbp_solvers::Stats;
 
     fn key_of(n: usize) -> CanonicalKey {
@@ -361,6 +417,29 @@ mod tests {
             quality,
             stats: Stats::new(),
         }
+    }
+
+    #[test]
+    fn certified_lookup_serves_only_the_numbering_that_filled_the_slot() {
+        let straight = Instance::new(generate::chain(3), 2, CostModel::base());
+        let mut b = DagBuilder::new(3);
+        b.add_edge(2, 0);
+        b.add_edge(0, 1);
+        let scrambled = Instance::new(b.build().unwrap(), 2, CostModel::base());
+        let key = straight.canonical_key();
+        assert_eq!(key, scrambled.canonical_key());
+        let cache = SolutionCache::new();
+        let look = |inst: &Instance| cache.lookup_certified(inst, &key, AcceptPolicy::Optimal);
+        assert!(matches!(look(&straight), Lookup::Miss));
+        let solved = rbp_solvers::registry::solve("exact", &straight).unwrap();
+        let scaled = solved.scaled_cost(&straight);
+        cache.insert_or_upgrade(key, "exact", solved, scaled);
+        assert!(matches!(look(&straight), Lookup::Hit(_)));
+        // the cached chain trace computes node 0 first, which has an
+        // input under the scrambled numbering
+        assert!(matches!(look(&scrambled), Lookup::Foreign));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 2));
     }
 
     #[test]

@@ -80,7 +80,9 @@ pub mod session;
 #[cfg(feature = "tcp")]
 pub mod tcp;
 
-pub use cache::{AcceptPolicy, CacheStats, SnapshotReport, SolutionCache, CACHE_SNAPSHOT_VERSION};
+pub use cache::{
+    AcceptPolicy, CacheStats, Lookup, SnapshotReport, SolutionCache, CACHE_SNAPSHOT_VERSION,
+};
 pub use client::{is_transient_io, RetryPolicy};
 pub use protocol::{ProtocolError, Request, RequestReader};
 pub use server::{Event, JobOptions, JobRequest, Server, ServerConfig, ServerStats, SubmitError};

@@ -55,7 +55,7 @@
 //!
 //! [`Instance::canonical_key`]: rbp_core::Instance::canonical_key
 
-use crate::cache::{AcceptPolicy, CacheStats, SolutionCache};
+use crate::cache::{AcceptPolicy, CacheStats, Lookup, SolutionCache};
 use rbp_core::Instance;
 use rbp_solvers::{
     panic_payload_to_string, Budget, Progress, Registry, Solution, SolveCtx, SolveError,
@@ -696,19 +696,28 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     }
 
     let key = req.instance.canonical_key();
+    // a slot keeps the node numbering that filled it (see `Lookup`)
+    let mut writes_cache = req.options.use_cache;
     if req.options.use_cache {
-        if let Some(entry) = shared.cache.lookup(&key, req.options.accept) {
-            let _ = events.send(Event::CacheHit {
-                id: id.clone(),
-                spec: entry.spec.clone(),
-            });
-            guard.complete(Event::Done {
-                id,
-                spec: entry.spec,
-                cached: true,
-                solution: entry.solution,
-            });
-            return;
+        match shared
+            .cache
+            .lookup_certified(&req.instance, &key, req.options.accept)
+        {
+            Lookup::Hit(entry) => {
+                let _ = events.send(Event::CacheHit {
+                    id: id.clone(),
+                    spec: entry.spec.clone(),
+                });
+                guard.complete(Event::Done {
+                    id,
+                    spec: entry.spec,
+                    cached: true,
+                    solution: entry.solution,
+                });
+                return;
+            }
+            Lookup::Foreign => writes_cache = false,
+            Lookup::Miss => {}
         }
     }
 
@@ -773,7 +782,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 // report the cancellation and keep it out of the cache
                 Event::Cancelled { id }
             } else {
-                if req.options.use_cache {
+                if writes_cache {
                     let scaled = solution.scaled_cost(&req.instance);
                     shared
                         .cache

@@ -3,7 +3,7 @@
 //! the quality-upgrade path (`UpperBound` → `Optimal`) observable
 //! across requests.
 
-use rbp_core::{CostModel, Instance};
+use rbp_core::{certify, CostModel, Instance};
 use rbp_graph::{generate, DagBuilder};
 use rbp_service::{AcceptPolicy, Event, JobOptions, JobRequest, Server, ServerConfig};
 use rbp_solvers::{GreedySolver, Quality, Registry, Solution, SolveCtx, SolveError, Solver};
@@ -116,24 +116,37 @@ fn relabeled_instances_share_a_cache_slot() {
         queue_capacity: 4,
         ..ServerConfig::default()
     });
-    let rx = server
-        .submit_collect(JobRequest {
-            id: "straight".into(),
-            spec: "exact".into(),
-            instance: straight,
-            options: JobOptions::default(),
-        })
-        .unwrap();
-    assert!(matches!(terminal(&rx), Event::Done { cached: false, .. }));
-    let rx = server
-        .submit_collect(JobRequest {
-            id: "scrambled".into(),
-            spec: "exact".into(),
-            instance: scrambled,
-            options: JobOptions::default(),
-        })
-        .unwrap();
-    assert!(matches!(terminal(&rx), Event::Done { cached: true, .. }));
+    let answer = |id: &str, instance: &Instance, want_cached: bool| {
+        let rx = server
+            .submit_collect(JobRequest {
+                id: id.into(),
+                spec: "exact".into(),
+                instance: instance.clone(),
+                options: JobOptions::default(),
+            })
+            .unwrap();
+        match terminal(&rx) {
+            Event::Done {
+                solution, cached, ..
+            } => {
+                assert_eq!(cached, want_cached, "{id}");
+                solution
+            }
+            other => panic!("{id}: expected Done, got {other:?}"),
+        }
+    };
+    let first = answer("straight", &straight, false);
+    // the straight chain's cached trace names the wrong node ids for
+    // the scrambled chain, so the answer must be one that replays there
+    let second = answer("scrambled", &scrambled, false);
+    let cert = certify(&scrambled, &second.trace).expect("answer certifies on scrambled");
+    assert!(cert.matches(&second.cost));
+    assert!(second.is_optimal());
+    assert_eq!(second.scaled_cost(&scrambled), first.scaled_cost(&straight));
+    // ...the two keys still share one slot, and it keeps the numbering
+    // that filled it, so the straight chain still hits
+    assert_eq!(server.stats().cache.entries, 1);
+    answer("straight-again", &straight, true);
     server.shutdown();
 }
 

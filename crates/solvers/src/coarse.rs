@@ -1,15 +1,15 @@
 //! Hierarchical scale-out: the DAG-coarsening solver (`coarse[:K]`).
 //!
 //! [`CoarseSolver`] splits an instance into `K` acyclic groups
-//! ([`rbp_graph::partition`]), solves each group's sub-instance
+//! ([`mod@rbp_graph::partition`]), solves each group's sub-instance
 //! independently with any inner registry solver, and stitches the
 //! per-group traces into one engine-validated global pebbling. Values
 //! crossing a group boundary live in slow memory between groups: the
 //! producing group leaves them blue, the consuming group loads them.
-//! The result is a [`Quality::UpperBound`] whose `lower_bound` is the
-//! structural floor ([`bounds::best_lower_bound`], which includes the
-//! fractional relaxation) — or the inner solver's own quality when the
-//! instance is delegated whole.
+//! The result is a [`Quality::UpperBound`](crate::Quality) whose
+//! `lower_bound` is the structural floor ([`bounds::best_lower_bound`],
+//! which includes the fractional relaxation) — or the inner solver's
+//! own quality when the instance is delegated whole.
 //!
 //! ## Stitching invariant
 //!
@@ -35,12 +35,18 @@
 //!
 //! By induction over the group order, every external input is blue
 //! when its consuming group starts, so the rewritten loads are legal;
-//! [`Solution::validated`] replays the stitched trace through the
+//! `Solution::validated` replays the stitched trace through the
 //! engine as the final arbiter.
+//!
+//! Group solves depend only on the partition, so the groups are solved
+//! concurrently in one [`pool::run_indexed`] fan-out and stitched
+//! serially in group order: the result, or the first failing group's
+//! error, is that of a serial solve. To bound memory, each task returns
+//! only its sub-trace in global node ids and its counters.
 
 use crate::api::{upper_bound_quality, Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
-use crate::registry;
+use crate::{pool, registry};
 use rbp_core::bounds;
 use rbp_core::{Instance, Move, Pebbling, State};
 use rbp_graph::{partition, topological_order, DagBuilder, NodeId, Partition};
@@ -52,7 +58,9 @@ pub const DEFAULT_GROUP_SIZE: usize = 12;
 
 /// Inner solver spec used when none is given. The portfolio is
 /// microsecond-scale per group, so the coarse solve stays near-linear
-/// in `n`; pass `coarse:K/exact` to spend exact search inside groups.
+/// in `n`; its members run inline on the group's worker (the pool's
+/// nesting rule). Pass `coarse:K/exact` to spend exact search inside
+/// groups.
 pub const DEFAULT_INNER: &str = "portfolio";
 
 /// Configuration for [`CoarseSolver`].
@@ -196,6 +204,16 @@ impl Solver for CoarseSolver {
             })
             .collect();
 
+        // per group: its sub-trace in global node ids, whether it is
+        // optimal, and its counters (the sub-instance dies in the task)
+        let solved = pool::run_indexed(part.k(), |g| {
+            let sub = build_sub(instance, &part, g, &topo_pos);
+            let sol = inner.solve(&sub.instance, ctx)?;
+            let to_global = |mv: &Move| mv.on(sub.to_global[mv.node().index()]);
+            let moves: Vec<Move> = sol.trace.moves().iter().map(to_global).collect();
+            Ok::<_, SolveError>((moves, sol.is_optimal(), sol.stats))
+        });
+
         let mut trace = Pebbling::new();
         let mut gs = State::initial(instance);
         let mut stats = Stats::new();
@@ -212,14 +230,17 @@ impl Solver for CoarseSolver {
             Ok::<(), SolveError>(())
         };
 
-        for g in 0..part.k() {
-            let sub = build_sub(instance, &part, g, &topo_pos);
-            let sol = inner.solve(&sub.instance, ctx)?;
-            if sol.is_optimal() {
-                inner_optimal += 1;
+        for (g, solved) in solved.into_iter().enumerate() {
+            let (moves, optimal, inner_stats) = solved?;
+            inner_optimal += u64::from(optimal);
+            // inner search effort, summed over the groups that report it
+            for key in ["states_expanded", "states_seen"] {
+                if let Some(v) = inner_stats.get(key) {
+                    stats.set(key, stats.get(key).unwrap_or(0) + v);
+                }
             }
-            for &mv in sol.trace.moves() {
-                let gv = sub.to_global[mv.node().index()];
+            for mv in moves {
+                let gv = mv.node();
                 let interface = part.group_of(gv) < g || crossing[gv.index()];
                 match mv {
                     Move::Compute(_) if part.group_of(gv) < g => {
@@ -236,10 +257,7 @@ impl Solver for CoarseSolver {
                         // deleting the blue copy is dropped entirely:
                         // later groups still need it
                     }
-                    Move::Load(_) => push(&mut trace, &mut gs, &mut cost, Move::Load(gv))?,
-                    Move::Store(_) => push(&mut trace, &mut gs, &mut cost, Move::Store(gv))?,
-                    Move::Compute(_) => push(&mut trace, &mut gs, &mut cost, Move::Compute(gv))?,
-                    Move::Delete(_) => push(&mut trace, &mut gs, &mut cost, Move::Delete(gv))?,
+                    _ => push(&mut trace, &mut gs, &mut cost, mv)?,
                 }
             }
             // flush: drain the red set so the next group starts from

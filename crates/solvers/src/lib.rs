@@ -56,7 +56,7 @@
 //! - [`beam`]: beam search over first-computation orderings;
 //! - [`portfolio`]: parallel best-of-greedy (also the incumbent seed);
 //! - [`coarse`]: hierarchical scale-out — partition the DAG into K
-//!   acyclic groups ([`rbp_graph::partition`]), solve each with any
+//!   acyclic groups ([`mod@rbp_graph::partition`]), solve each with any
 //!   inner registry spec, stitch the traces through blue interface
 //!   values, and report a fractional-lower-bound bracket
 //!   (`coarse[:K[/INNER]]`);

@@ -3,86 +3,84 @@
 //! atomic next-index counter by at most `available_parallelism` threads.
 //!
 //! This replaces static contiguous chunking (where one expensive
-//! mid-range task serializes its whole chunk behind it) for the R-sweeps
-//! and the greedy portfolio: a thread that finishes a cheap task
-//! immediately claims the next unclaimed one, so the makespan is bounded
-//! by the longest *single* task, not the longest chunk.
+//! mid-range task serializes its whole chunk behind it) for the R-sweeps,
+//! the greedy portfolio and the `coarse` group solves: a thread that
+//! finishes a cheap task immediately claims the next unclaimed one, so
+//! the makespan is bounded by the longest *single* task, not the longest
+//! chunk.
 //!
 //! The calling thread participates as a worker, so `run_indexed` spawns
-//! `min(available_parallelism, tasks) − 1` threads — zero on a
-//! single-core host or for a single task, which keeps tiny fan-outs
-//! (e.g. seeding an incumbent from a greedy portfolio before a
-//! microsecond-scale exact solve) free of thread-spawn overhead.
+//! `min(available_parallelism, tasks) − 1` threads, each costing more
+//! than a microsecond-scale task. **Nesting rule:** a `run_indexed`
+//! called inside a task (on any worker, the caller included) runs its
+//! tasks inline, in index order, on the current thread. The outer
+//! fan-out already occupies every core, so `coarse` fans out once over
+//! its groups and each group's greedy portfolio stays on its worker.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::OnceLock;
+use std::thread;
 
-/// A caught panic payload from one task.
-type Payload = Box<dyn std::any::Any + Send>;
+thread_local! {
+    /// Set while this thread claims tasks in some [`run_indexed`].
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Runs `f(0..tasks)` across at most `available_parallelism` threads
-/// (caller included) and returns the results in index order.
+/// (caller included) and returns the results in index order. Nested in
+/// a task of another `run_indexed`, it runs inline (module docs).
 ///
 /// `f` is called exactly once per index, in an unspecified order and
 /// possibly concurrently. A panic in `f` is contained per task: the
-/// remaining tasks still run to completion (no half-claimed work, no
-/// deadlocked collector), and the first panic payload is re-raised on
-/// the calling thread afterwards — so callers still observe `f`'s
-/// panics, but a poisoned task can never wedge its siblings. Tasks are
-/// independent by contract, so an unwound task leaves no state a later
-/// task could observe broken (the `AssertUnwindSafe` below).
+/// remaining tasks still run to completion (no half-claimed work), and
+/// the lowest-index panic payload is re-raised on the calling thread
+/// afterwards — so callers still observe `f`'s panics, but a poisoned
+/// task can never wedge its siblings. Tasks are independent by
+/// contract, so an unwound task leaves no state a later task could
+/// observe broken (the `AssertUnwindSafe` below).
 pub fn run_indexed<T, F>(tasks: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if tasks == 0 {
-        return Vec::new();
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(tasks);
+    // read once: the call parses cgroup files, costing about a spawn
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |p| p.get()));
+    let threads = if IN_POOL.get() { 1 } else { cores.min(tasks) };
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<T, Payload>)>();
-
-    let worker = |tx: mpsc::Sender<(usize, Result<T, Payload>)>| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= tasks {
-            break;
+    // claims tasks until none are left; returns the ones this thread ran
+    let worker = || {
+        let outer = IN_POOL.replace(true);
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
+                break;
+            }
+            done.push((i, catch_unwind(AssertUnwindSafe(|| f(i)))));
         }
-        let result = catch_unwind(AssertUnwindSafe(|| f(i)));
-        let _ = tx.send((i, result.map_err(|p| p as Payload)));
+        IN_POOL.set(outer);
+        done
     };
 
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            let tx = tx.clone();
-            let worker = &worker;
-            scope.spawn(move || worker(tx));
-        }
-        // the caller claims tasks too, then drops its sender so the
-        // collector below sees the channel close once every worker is done
-        worker(tx);
-    });
-
-    let mut out: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-    let mut first_panic: Option<Payload> = None;
-    for (i, v) in rx {
-        debug_assert!(out[i].is_none(), "task {i} ran twice");
-        match v {
-            Ok(v) => out[i] = Some(v),
-            Err(p) => {
-                first_panic.get_or_insert(p);
+    let mut done = if threads <= 1 {
+        worker()
+    } else {
+        thread::scope(|scope| {
+            let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let mut done = worker();
+            for h in spawned {
+                done.extend(h.join().expect("workers catch every task panic"));
             }
-        }
-    }
-    if let Some(p) = first_panic {
-        resume_unwind(p);
-    }
-    out.into_iter()
-        .map(|v| v.expect("every task sends exactly one result"))
+            done
+        })
+    };
+    done.sort_unstable_by_key(|&(i, _)| i);
+    // every task has run: re-raise the lowest-index panic, if any
+    done.into_iter()
+        .map(|(_, v)| v.unwrap_or_else(|p| resume_unwind(p)))
         .collect()
 }
 
@@ -132,6 +130,29 @@ mod tests {
         assert_eq!(msg, "task 3 bomb");
         // ...but only after every task ran (no half-claimed work left)
         assert_eq!(calls.load(Ordering::Relaxed), 16);
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_calling_worker() {
+        let out = run_indexed(4, |i| {
+            let me = std::thread::current().id();
+            run_indexed(5, |j| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    me,
+                    "nested task left its worker"
+                );
+                10 * i + j
+            })
+        });
+        let want: Vec<usize> = (0..4).flat_map(|i| 10 * i..10 * i + 5).collect();
+        assert_eq!(out.concat(), want);
+        // a nested task's panic still reaches the outermost caller
+        let caught = std::panic::catch_unwind(|| {
+            run_indexed(2, |_| run_indexed(3, |j| assert_ne!(j, 1, "nested bomb")))
+        });
+        let payload = caught.expect_err("nested panic must propagate");
+        assert!(format!("{:?}", payload.downcast_ref::<String>()).contains("nested bomb"));
     }
 
     #[test]

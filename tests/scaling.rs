@@ -8,8 +8,9 @@ use rbp_bench::perf_snapshot;
 use red_blue_pebbling::core::{
     bounds, certify, CostModel, Instance, ModelKind, SinkConvention, SourceConvention,
 };
-use red_blue_pebbling::solvers::{registry, Quality};
-use red_blue_pebbling::workloads::{fft, matmul};
+use red_blue_pebbling::solvers::{pool, registry, wire, Quality};
+use red_blue_pebbling::workloads::ensemble::{self, LargeConfig};
+use red_blue_pebbling::workloads::{fft, matmul, stencil};
 
 /// The Hong–Kung regime every scaling cell runs under: inputs start in
 /// slow memory, outputs must end there.
@@ -152,5 +153,74 @@ fn bounds_never_decrease_vs_trivial_on_the_full_matrix() {
             c.workload,
             c.model
         );
+    }
+}
+
+/// Solving the coarse groups concurrently is invisible in the result:
+/// a top-level solve (groups fan out over the pool) and the same solve
+/// nested in a one-task `pool::run_indexed` (groups run inline on the
+/// caller) serialize to byte-identical documents — trace, cost,
+/// quality and stats. Covers the coarse-scale cells, large layered
+/// draws across all four models, and an exact inner solver.
+#[test]
+fn coarse_fan_out_matches_an_inline_solve() {
+    let mut cases: Vec<(String, &str, Instance)> = Vec::new();
+    for (name, dag) in [
+        ("matmul12", matmul::build(12).dag),
+        ("matmul16", matmul::build(16).dag),
+        ("fft128", fft::build(7).dag),
+        ("stencil64x16", stencil::build(64, 16, 1).dag),
+    ] {
+        for kind in [ModelKind::Base, ModelKind::Oneshot, ModelKind::NoDel] {
+            let inst = hong_kung(dag.clone(), 4, kind);
+            cases.push((format!("{name}/{kind:?}"), "coarse", inst));
+        }
+    }
+    for g in ensemble::large_layered(11, LargeConfig::default()).take(12) {
+        cases.push((g.name, "coarse", g.instance));
+    }
+    let small = LargeConfig {
+        min_nodes: 16,
+        max_nodes: 30,
+        ..LargeConfig::default()
+    };
+    for g in ensemble::large_layered(5, small).take(4) {
+        cases.push((g.name, "coarse:3/exact", g.instance));
+    }
+    for (label, spec, inst) in &cases {
+        let fanned = registry::solve(spec, inst).unwrap();
+        let inline = pool::run_indexed(1, |_| registry::solve(spec, inst).unwrap());
+        assert_eq!(
+            wire::write_solution(spec, &fanned),
+            wire::write_solution(spec, &inline[0]),
+            "{label} under {spec}"
+        );
+    }
+}
+
+/// `coarse` folds its groups' search effort into its own stats: summed
+/// over the groups under an exact inner solver, and absent — never a
+/// fabricated zero — when no inner solver reports it.
+#[test]
+fn coarse_stats_fold_inner_search_effort() {
+    let small = LargeConfig {
+        min_nodes: 16,
+        max_nodes: 30,
+        ..LargeConfig::default()
+    };
+    for g in ensemble::large_layered(5, small).take(4) {
+        let exact = registry::solve("coarse:3/exact", &g.instance).unwrap();
+        let expanded = exact
+            .stats
+            .get("states_expanded")
+            .expect("exact reports effort");
+        let seen = exact
+            .stats
+            .get("states_seen")
+            .expect("exact reports effort");
+        assert!(expanded > 0 && seen > 0, "{}", g.name);
+        let greedy = registry::solve("coarse:3/greedy", &g.instance).unwrap();
+        assert_eq!(greedy.stats.get("states_expanded"), None, "{}", g.name);
+        assert_eq!(greedy.stats.get("states_seen"), None, "{}", g.name);
     }
 }
