@@ -27,6 +27,26 @@ pub const fn words_for(capacity: usize) -> usize {
     }
 }
 
+/// Tests bit `i` of a packed word row — the layout of [`BitSet::words`],
+/// the [`Dag`](crate::Dag) adjacency masks and the exact solvers' state
+/// keys, which address their planes as sub-slices of one key.
+#[inline]
+pub fn bit_get(words: &[u64], i: usize) -> bool {
+    words[i / WORD_BITS] & (1 << (i % WORD_BITS)) != 0
+}
+
+/// Sets bit `i` of a packed word row (see [`bit_get`]).
+#[inline]
+pub fn bit_set(words: &mut [u64], i: usize) {
+    words[i / WORD_BITS] |= 1 << (i % WORD_BITS);
+}
+
+/// Clears bit `i` of a packed word row (see [`bit_get`]).
+#[inline]
+pub fn bit_clear(words: &mut [u64], i: usize) {
+    words[i / WORD_BITS] &= !(1 << (i % WORD_BITS));
+}
+
 /// A fixed-capacity set of `usize` indices backed by `u64` words.
 ///
 /// Capacity is fixed at construction; indices must be `< capacity`.
@@ -93,8 +113,7 @@ impl BitSet {
     /// Tests membership.
     #[inline]
     pub fn contains(&self, index: usize) -> bool {
-        let (w, b) = (index / WORD_BITS, index % WORD_BITS);
-        self.words[w] & (1u64 << b) != 0
+        bit_get(&self.words, index)
     }
 
     /// Number of elements in the set.
@@ -320,6 +339,22 @@ mod tests {
         assert_eq!(words_for(65), 2);
         assert_eq!(words_for(128), 2);
         assert_eq!(words_for(129), 3);
+    }
+
+    #[test]
+    fn word_row_helpers_address_sub_slices() {
+        // two 2-word planes in one key, as the solvers lay out red/blue
+        let mut key = [0u64; 4];
+        bit_set(&mut key[2..], 65);
+        bit_set(&mut key[..2], 0);
+        assert!(bit_get(&key[2..], 65) && bit_get(&key, 0));
+        assert_eq!(key, [1, 0, 0, 2]);
+        bit_clear(&mut key[2..], 65);
+        assert!(!bit_get(&key[2..], 65));
+        assert_eq!(key, [1, 0, 0, 0]);
+        // the words of a BitSet are such a row
+        let s = BitSet::from_indices(130, [3, 129]);
+        assert!(bit_get(s.words(), 129) && !bit_get(s.words(), 128));
     }
 
     #[test]

@@ -152,7 +152,8 @@ pub struct Progress {
     pub states_expanded: u64,
     /// Expansion throughput since the start.
     pub states_per_sec: u64,
-    /// Open states queued in the (reporting shard's) frontier.
+    /// Entries queued in the (reporting shard's) frontier, counting a
+    /// state relaxed twice as two (the stale entry is skipped on pop).
     pub frontier: usize,
     /// Best known upper bound on the optimal scaled cost, if any.
     pub incumbent: Option<u64>,

@@ -16,10 +16,14 @@
 //! the arena (amortized grow) plus a table store. Ids are dense and
 //! assigned in first-intern order, so per-state solver bookkeeping lives
 //! in parallel arrays ([`NodeTable`]) instead of per-state boxes.
+//!
+//! The open list that orders those ids, `Frontier`, lives here too: it
+//! is shared by every exact search (classic, multiprocessor, sharded).
 
-use crate::hash::hash_words;
 use rbp_core::Move;
+use rbp_graph::hash::hash_words;
 use rbp_graph::NodeId;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Sentinel id marking an empty slot in the probe table and the root's
 /// parent in [`NodeTable`].
@@ -227,9 +231,142 @@ impl NodeTable {
     }
 }
 
+/// The open list of the exact searches: state ids ordered by the key
+/// `(f, unsatisfied sinks)`, first-in first-out among equal keys.
+///
+/// Any order among equal `f` is valid for Dijkstra/A*; preferring fewer
+/// unsatisfied sinks steers the last `f` layer toward goals, and FIFO
+/// keeps the returned traces short (newest-first would pop long chains
+/// of zero-cost moves before their siblings).
+///
+/// Storage is an ordered map from key to a FIFO bucket, sparse because a
+/// scaled `f` is an arbitrary `u64` (any compcost ε, any MPP comm/comp
+/// ratio), so no array may be indexed by it. A pop takes the front of
+/// the first bucket, so it is exact min-key even when a push lands below
+/// the last popped key (HDA* shards receive out-of-order `f`, and the
+/// unpruned A* configuration can lower `f`).
+///
+/// Entries are never updated in place: a state relaxed twice is queued
+/// twice, and the search skips the stale entry when it pops.
+#[derive(Debug, Default)]
+pub(crate) struct Frontier {
+    buckets: BTreeMap<(u64, u32), VecDeque<u32>>,
+    len: usize,
+}
+
+impl Frontier {
+    /// An empty queue.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of queued entries, stale duplicates included (this is what
+    /// [`crate::api::Progress::frontier`] reports).
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Queues state `id` under the key `(f, unsat)`.
+    #[inline]
+    pub(crate) fn push(&mut self, f: u64, unsat: u32, id: u32) {
+        self.buckets.entry((f, unsat)).or_default().push_back(id);
+        self.len += 1;
+    }
+
+    /// Removes the oldest entry of the minimum key, as `(f, id)`.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(u64, u32)> {
+        let mut first = self.buckets.first_entry()?;
+        let f = first.key().0;
+        let id = first
+            .get_mut()
+            .pop_front()
+            .expect("buckets are never empty");
+        if first.get().is_empty() {
+            first.remove();
+        }
+        self.len -= 1;
+        Some((f, id))
+    }
+
+    /// The `f` of the entry [`Frontier::pop`] would return next.
+    #[inline]
+    pub(crate) fn min_f(&self) -> Option<u64> {
+        self.buckets.keys().next().map(|&(f, _)| f)
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&mut self) {
+        self.buckets.clear();
+        self.len = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn drain(q: &mut Frontier) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn frontier_pops_in_min_key_order() {
+        let mut q = Frontier::new();
+        // f dominates, unsat breaks ties between equal f
+        for (f, unsat, id) in [(5, 0, 1), (3, 2, 2), (9, 0, 3), (3, 1, 4), (0, 7, 5)] {
+            q.push(f, unsat, id);
+        }
+        assert_eq!(q.min_f(), Some(0));
+        assert_eq!(drain(&mut q), vec![(0, 5), (3, 4), (3, 2), (5, 1), (9, 3)]);
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.min_f(), None);
+    }
+
+    #[test]
+    fn frontier_is_fifo_within_a_key() {
+        let mut q = Frontier::new();
+        for id in 0..5 {
+            q.push(4, 1, id);
+            q.push(6, 0, 10 + id);
+        }
+        let ids: Vec<u32> = drain(&mut q).into_iter().map(|(_, id)| id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 10, 11, 12, 13, 14]);
+    }
+
+    #[test]
+    fn frontier_pops_a_key_below_the_last_popped_first() {
+        let mut q = Frontier::new();
+        q.push(10, 2, 1);
+        q.push(10, 2, 2);
+        q.push(12, 0, 3);
+        assert_eq!(q.pop(), Some((10, 1)));
+        // below the last popped key: same f with fewer unsat, then a lower f
+        q.push(10, 1, 4);
+        q.push(7, 3, 5);
+        q.push(10, 2, 6);
+        assert_eq!(q.min_f(), Some(7));
+        assert_eq!(
+            drain(&mut q),
+            vec![(7, 5), (10, 4), (10, 2), (10, 6), (12, 3)]
+        );
+    }
+
+    #[test]
+    fn frontier_len_counts_stale_duplicates() {
+        let mut q = Frontier::new();
+        // the same state relaxed twice is queued twice
+        q.push(8, 1, 42);
+        q.push(5, 1, 42);
+        q.push(9, 0, 7);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((5, 42)));
+        assert_eq!(q.len(), 2);
+        q.clear();
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.pop(), None);
+    }
 
     #[test]
     fn intern_assigns_dense_ids_and_roundtrips() {

@@ -15,8 +15,8 @@
 use crate::api::SolveCtx;
 use crate::error::SolveError;
 use crate::greedy::GreedyReport;
-use crate::hash::FxHashMap;
 use rbp_core::{bounds, engine, Instance, Move, Pebbling, SinkConvention, SourceConvention, State};
+use rbp_graph::hash::FxHashMap;
 use rbp_graph::NodeId;
 
 /// Beam-search configuration.

@@ -31,6 +31,20 @@
 //! - **Struct-of-arrays bookkeeping** ([`NodeTable`]): `dist`, `parent`,
 //!   `settled` and the incremental metadata are parallel arrays indexed
 //!   by state id.
+//! - **Goal-directed frontier** (`Frontier` in [`crate::arena`], the one
+//!   open list of this solver, [`crate::mpp`] and [`crate::parallel`]):
+//!   open states are keyed `(f, unsatisfied sinks)` and leave FIFO
+//!   within a key. Any order among equal `f` is valid for Dijkstra/A*;
+//!   fewer-unsat-first drains the last `f` layer toward goals instead of
+//!   oldest-first across it. FIFO keeps the returned trace short: a
+//!   newest-first order follows chains of zero-cost moves (compute,
+//!   delete) before their siblings, and the first goal it settles sits
+//!   at the end of such a detour (hundreds of moves on matmul/base,
+//!   where FIFO returns 41, at the same optimal cost). It is an ordered map
+//!   from key to FIFO bucket (a scaled `f` is an arbitrary `u64`, so no
+//!   array is indexed by it); a pop takes the first bucket's front, so
+//!   a push below the last popped key (out-of-order `f` in a sharded
+//!   search) still pops first.
 //! - **Bitset adjacency** ([`Dag::pred_mask`]/[`Dag::succ_mask`]): the
 //!   "all inputs red" gate of a compute and the "has an uncomputed
 //!   successor" prune are word-wise `ANDN` loops over packed mask rows,
@@ -48,7 +62,7 @@
 //! seeded bound, or at-or-above the best discovered goal, is dropped
 //! *before* it is interned: since the bound is realized by a concrete
 //! pebbling, at least one optimal path survives (`f ≤ opt ≤ bound` along
-//! it), so the optimum is unchanged while the arena, heap, and probe
+//! it), so the optimum is unchanged while the arena, frontier, and probe
 //! table stay smaller. On positive-cost frontiers (e.g. the base model's
 //! grid cell) this skips the large shell of states strictly beyond the
 //! optimum that plain Dijkstra would intern but never expand. The same
@@ -102,12 +116,10 @@
 //! transfer each.
 
 use crate::api::{Progress, SolveCtx};
-use crate::arena::{NodeTable, StateArena, NO_STATE};
+use crate::arena::{Frontier, NodeTable, StateArena, NO_STATE};
 use crate::error::SolveError;
 use crate::expand::{Expander, Meta};
 use rbp_core::{bounds, Cost, Instance, Pebbling};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 #[cfg(doc)]
@@ -261,7 +273,7 @@ struct Search<'a> {
     // flat state storage
     arena: StateArena,
     nodes: NodeTable,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    frontier: Frontier,
     /// Prune cutoff: successors with `g + h ≥ cutoff` are dropped. This
     /// is `min(seeded upper bound + 1, best goal distance seen)` — both
     /// components are upper bounds realized by concrete pebblings (the
@@ -270,7 +282,7 @@ struct Search<'a> {
     cutoff: u64,
     /// The structural floor ([`bounds::best_lower_bound`], scaled): a
     /// *discovered* goal at this distance is already provably optimal,
-    /// so the search may return it without draining the heap to settle
+    /// so the search may return it without draining the frontier to settle
     /// it. Only consulted under `prune`; the brute-force reference runs
     /// to settlement.
     floor: u128,
@@ -292,7 +304,7 @@ impl<'a> Search<'a> {
             check: Expander::new(instance, cfg.prune, cfg.astar),
             arena: StateArena::new(key_words),
             nodes: NodeTable::new(),
-            heap: BinaryHeap::new(),
+            frontier: Frontier::new(),
             cutoff,
             floor: instance.scaled_cost(&bounds::best_lower_bound(instance)),
             best_goal: (u64::MAX, NO_STATE),
@@ -315,15 +327,24 @@ impl<'a> Search<'a> {
         self.nodes
             .push(root_meta.red, root_meta.unsat, root_meta.heur);
         self.nodes.dist[root as usize] = 0;
-        self.heap.push(Reverse((root_meta.heur, root)));
+        self.frontier.push(root_meta.heur, root_meta.unsat, root);
 
         let mut expanded = 0usize;
         let mut key_buf: Vec<u64> = Vec::with_capacity(self.exp.key_words());
-        while let Some(Reverse((_prio, id))) = self.heap.pop() {
+        let mut last_f = 0u64;
+        while let Some((f, id)) = self.frontier.pop() {
             let idx = id as usize;
             if self.nodes.settled[idx] {
                 continue;
             }
+            // under `prune` every edge is non-negative and the oneshot
+            // heuristic is consistent (its one `f`-lowering move, deleting
+            // a blue pebble, is pruned), so settled `f` never decreases
+            debug_assert!(
+                !self.cfg.prune || f >= last_f,
+                "popped f fell from {last_f} to {f}: inconsistent heuristic"
+            );
+            last_f = f;
             self.nodes.settled[idx] = true;
             key_buf.clear();
             key_buf.extend_from_slice(self.arena.key(id));
@@ -364,7 +385,7 @@ impl<'a> Search<'a> {
                 check,
                 arena,
                 nodes,
-                heap,
+                frontier,
                 cutoff,
                 cfg,
                 best_goal,
@@ -392,7 +413,7 @@ impl<'a> Search<'a> {
                 if !nodes.settled[cidx] && nd < nodes.dist[cidx] {
                     nodes.dist[cidx] = nd;
                     nodes.parent[cidx] = (id, mv);
-                    heap.push(Reverse((f, cid)));
+                    frontier.push(f, child.unsat, cid);
                     if child.is_goal() && nd < best_goal.0 {
                         // remember the cheapest goal discovered: it is
                         // the incumbent a budget-expired solve returns
@@ -409,7 +430,7 @@ impl<'a> Search<'a> {
             // a discovered goal that meets the structural floor is
             // already provably optimal: floor ≤ optimum ≤ any realized
             // goal distance, so equality pins it — return without
-            // draining the heap to settle it
+            // draining the frontier to settle it
             if self.cfg.prune
                 && self.best_goal.1 != NO_STATE
                 && u128::from(self.best_goal.0) <= self.floor
@@ -459,7 +480,7 @@ impl<'a> Search<'a> {
             } else {
                 0
             },
-            frontier: self.heap.len(),
+            frontier: self.frontier.len(),
             incumbent: match (self.best_goal.0, self.cfg.upper_bound) {
                 (u64::MAX, ub) => ub,
                 (g, Some(ub)) => Some(g.min(ub)),
@@ -568,20 +589,28 @@ mod tests {
 
     #[test]
     fn pruned_matches_reference_on_small_dags() {
+        // each draw under both source conventions: blue-start sources
+        // change the initial key, the source guard and the heuristic
         let mut rng = rand::thread_rng();
         for kind in ModelKind::ALL {
             for _ in 0..6 {
                 let dag = generate::gnp_dag(6, 0.4, 2, &mut rng);
                 let r = dag.max_indegree() + 1;
-                let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-                let fast = solve_exact(&inst).unwrap();
-                let slow = solve_reference(&inst).unwrap();
-                assert_eq!(
-                    fast.cost.scaled(inst.model().epsilon()),
-                    slow.cost.scaled(inst.model().epsilon()),
-                    "prune changed optimum for {kind} on {:?}",
-                    inst
-                );
+                for sources in [
+                    SourceConvention::FreeCompute,
+                    SourceConvention::InitiallyBlue,
+                ] {
+                    let inst = Instance::new(dag.clone(), r, CostModel::of_kind(kind))
+                        .with_source_convention(sources);
+                    let fast = solve_exact(&inst).unwrap();
+                    let slow = solve_reference(&inst).unwrap();
+                    assert_eq!(
+                        fast.cost.scaled(inst.model().epsilon()),
+                        slow.cost.scaled(inst.model().epsilon()),
+                        "prune changed optimum for {kind} on {:?}",
+                        inst
+                    );
+                }
             }
         }
     }

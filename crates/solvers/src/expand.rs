@@ -22,6 +22,7 @@
 
 use crate::error::SolveError;
 use rbp_core::{Instance, ModelKind, Move, SourceConvention};
+use rbp_graph::bitset::{bit_clear, bit_get, bit_set};
 use rbp_graph::NodeId;
 
 /// The incrementally maintained metadata of one state: carried from a
@@ -55,21 +56,6 @@ impl Meta {
     fn bump_unsat(self, delta: i32) -> u32 {
         (self.unsat as i32 + delta) as u32
     }
-}
-
-#[inline]
-fn bit_get(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1 << (i % 64)) != 0
-}
-
-#[inline]
-fn bit_set(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-#[inline]
-fn bit_clear(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1 << (i % 64));
 }
 
 /// The per-instance move generator shared by the exact solvers.
@@ -268,7 +254,7 @@ impl<'a> Expander<'a> {
                     .all(|(p, a)| p & !a == 0)
             };
             if ok {
-                self.avail[i / 64] |= 1 << (i % 64);
+                bit_set(&mut self.avail, i);
             }
         }
         self.sink_ids.iter().any(|&s| {

@@ -79,7 +79,6 @@ pub mod error;
 pub mod exact;
 pub mod expand;
 pub mod greedy;
-pub mod hash;
 pub mod mpp;
 pub mod parallel;
 pub mod pool;

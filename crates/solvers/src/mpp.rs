@@ -14,7 +14,9 @@
 //!   Edge weights are the instance's exact weight scales
 //!   ([`Instance::cost_scales`]), so the optimum is the additive
 //!   objective `transfers·comm + computes·comp` — the makespan is a
-//!   reported statistic, never the search objective.
+//!   reported statistic, never the search objective. The open list is
+//!   the goal-directed `(g, unsatisfied sinks)` frontier shared with
+//!   the classic solver (see "Hot-path layout" in [`crate::exact`]).
 //! - [`solve_greedy_mpp`]: a topological list scheduler. Each
 //!   non-source node is assigned to the processor holding most of its
 //!   inputs red (ties: least accumulated weighted work, then lowest
@@ -31,32 +33,17 @@
 //! perf snapshot pin continuously.
 
 use crate::api::{upper_bound_quality, Quality, Solution, SolveCtx, Solver, Stats};
-use crate::arena::{StateArena, NO_STATE};
+use crate::arena::{Frontier, StateArena, NO_STATE};
 use crate::error::SolveError;
 use crate::exact::ExactConfig;
 use rbp_core::{bounds, engine, mpp, Cost, Instance, ModelKind, Move, Pebbling, SourceConvention};
+use rbp_graph::bitset::{bit_clear, bit_get, bit_set};
 use rbp_graph::NodeId;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Budget polls happen every this many expansions (mirrors
 /// `crate::exact`).
 const BUDGET_POLL_INTERVAL: usize = 256;
-
-#[inline]
-fn bit_get(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1 << (i % 64)) != 0
-}
-
-#[inline]
-fn bit_set(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-#[inline]
-fn bit_clear(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1 << (i % 64));
-}
 
 /// Result of an exact multiprocessor solve.
 #[derive(Clone, Debug)]
@@ -119,14 +106,13 @@ pub(crate) fn solve_exact_mpp_budgeted(
             is_red_any(key, v) || is_blue(key, v)
         }
     };
-    let is_goal = |key: &[u64]| {
-        sinks.iter().all(|&s| {
-            if need_blue {
-                is_blue(key, s)
-            } else {
-                is_blue(key, s) || is_red_any(key, s)
-            }
-        })
+    // sinks violating the finishing convention: the goal test (0) and
+    // the frontier's tie-break
+    let unsat = |key: &[u64]| {
+        sinks
+            .iter()
+            .filter(|&&s| !is_blue(key, s) && (need_blue || !is_red_any(key, s)))
+            .count() as u32
     };
 
     // initial configuration
@@ -144,7 +130,7 @@ pub(crate) fn solve_exact_mpp_budgeted(
     let mut dist: Vec<u64> = Vec::new();
     let mut parent: Vec<(u32, Move, u16)> = Vec::new();
     let mut settled: Vec<bool> = Vec::new();
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+    let mut frontier = Frontier::new();
     let mut cutoff = cfg.seed_cutoff();
     let mut best_goal: (u64, u32) = (u64::MAX, NO_STATE);
 
@@ -152,7 +138,7 @@ pub(crate) fn solve_exact_mpp_budgeted(
     dist.push(0);
     parent.push((NO_STATE, Move::Delete(NodeId::new(0)), 0));
     settled.push(false);
-    heap.push(Reverse((0, root)));
+    frontier.push(0, unsat(&init), root);
 
     let budget_live = !ctx.budget.is_unlimited();
     let mut expanded = 0usize;
@@ -196,7 +182,7 @@ pub(crate) fn solve_exact_mpp_budgeted(
         return Err(SolveError::Interrupted);
     }
 
-    while let Some(Reverse((_prio, id))) = heap.pop() {
+    while let Some((_, id)) = frontier.pop() {
         let idx = id as usize;
         if settled[idx] {
             continue;
@@ -216,7 +202,7 @@ pub(crate) fn solve_exact_mpp_budgeted(
             }
             return Ok((report(gid, expanded, &arena, &parent), false));
         }
-        if is_goal(&key_buf) {
+        if unsat(&key_buf) == 0 {
             return Ok((report(id, expanded, &arena, &parent), true));
         }
 
@@ -253,8 +239,9 @@ pub(crate) fn solve_exact_mpp_budgeted(
             if !settled[cidx] && nd < dist[cidx] {
                 dist[cidx] = nd;
                 parent[cidx] = (id, mv, proc);
-                heap.push(Reverse((nd, cid)));
-                if is_goal(succ) && nd < best_goal.0 {
+                let left = unsat(succ);
+                frontier.push(nd, left, cid);
+                if left == 0 && nd < best_goal.0 {
                     best_goal = (nd, cid);
                     if cfg.prune && nd < cutoff {
                         cutoff = nd;

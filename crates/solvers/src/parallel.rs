@@ -5,7 +5,10 @@
 //! threads by [`StateArena::shard_of`] — the same `hash_words` digest the
 //! intern tables probe with — so every configuration has exactly one
 //! *owner* thread. Each worker owns a full shard of the solver state
-//! (a [`StateArena`], a [`NodeTable`], and a local A* priority queue) and
+//! (a [`StateArena`], a [`NodeTable`], and a local A* frontier — the
+//! goal-directed `(f, unsat)` frontier described under "Hot-path
+//! layout" in [`crate::exact`], which stays exact min-key under the
+//! out-of-order `f` that routed batches deliver) and
 //! runs the shared move generator ([`Expander`]); successors that hash to
 //! another shard are batched and routed to their owner over bounded
 //! channels. No lock is ever taken on the hot path: a state is interned,
@@ -45,7 +48,7 @@
 //!
 //! ## When it wins
 //! Sharding pays off when the per-state work (expansion, interning,
-//! heap traffic) dominates the routing overhead — i.e. on searches that
+//! frontier traffic) dominates the routing overhead — i.e. on searches that
 //! are large because the frontier is wide (the base model's grid and
 //! pyramid cells, matmul at tight R). On instances that solve in
 //! microseconds, or on a single-core host, the sequential path is
@@ -53,7 +56,7 @@
 //! with the greedy incumbent) with no channels or extra threads at all.
 
 use crate::api::{Progress, SolveCtx};
-use crate::arena::{global_id, split_id, NodeTable, StateArena, NO_STATE};
+use crate::arena::{global_id, split_id, Frontier, NodeTable, StateArena, NO_STATE};
 use crate::error::SolveError;
 use crate::exact::{solve_exact_budgeted, ExactConfig, ExactReport};
 use crate::expand::{Expander, Meta};
@@ -61,8 +64,6 @@ use crate::greedy::GreedyReport;
 use crate::portfolio::{default_portfolio, solve_portfolio};
 use rbp_core::{bounds, Cost, Instance, Move, Pebbling};
 use rbp_graph::NodeId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
@@ -336,7 +337,7 @@ struct Worker<'a, 's> {
     shared: &'s Shared,
     arena: StateArena,
     nodes: NodeTable,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    frontier: Frontier,
     out: Vec<Batch>,
     txs: Vec<SyncSender<Batch>>,
     rx: Receiver<Batch>,
@@ -401,7 +402,7 @@ impl<'a, 's> Worker<'a, 's> {
                     // re-open on improvement: HDA* may settle a state
                     // before its best g has crossed the shard boundary
                     self.nodes.settled[idx] = false;
-                    self.heap.push(Reverse((f, local)));
+                    self.frontier.push(f, meta.unsat, local);
                 }
             }
         }
@@ -507,22 +508,22 @@ impl<'a, 's> Worker<'a, 's> {
         let popped_before = self.popped;
         for _ in 0..POP_CHUNK {
             let cutoff = self.shared.cutoff();
-            match self.heap.peek() {
+            match self.frontier.min_f() {
                 None => break,
-                Some(&Reverse((f, _))) if f >= cutoff => {
+                Some(f) if f >= cutoff => {
                     // the cutoff never grows, so everything still queued
                     // is dead weight
-                    self.heap.clear();
+                    self.frontier.clear();
                     break;
                 }
                 Some(_) => {}
             }
-            let Reverse((_f, local)) = self.heap.pop().expect("peeked entry");
+            let (_, local) = self.frontier.pop().expect("peeked entry");
             // every pop is progress, stale or not: a quantum of stale
             // entries (duplicate pushes whose state settled meanwhile)
             // must NOT read as "nothing to do" — eligible work may sit
             // right behind them, and a worker may only go idle once the
-            // heap is truly exhausted below the cutoff (the termination
+            // frontier is truly exhausted below the cutoff (the termination
             // check is sound only under that invariant)
             any = true;
             let idx = local as usize;
@@ -579,7 +580,7 @@ impl<'a, 's> Worker<'a, 's> {
                     } else {
                         0
                     },
-                    frontier: self.heap.len(),
+                    frontier: self.frontier.len(),
                     incumbent,
                 });
             }
@@ -736,7 +737,7 @@ fn hda_star(
                         shared,
                         arena: StateArena::new(key_words),
                         nodes: NodeTable::new(),
-                        heap: BinaryHeap::new(),
+                        frontier: Frontier::new(),
                         out: (0..threads).map(|_| Batch::new()).collect(),
                         txs,
                         rx,
