@@ -13,8 +13,8 @@
 //! degrades more of the matrix still fails here.
 //!
 //! Release-only: without `--release` the per-intern debug rescans put
-//! the dense cells at minutes each (same policy as the matmul cells of
-//! `parallel_equivalence.rs`).
+//! the dense cells at minutes each (same policy as the extra cells of
+//! `exact_matrix.rs`).
 
 #![cfg(not(debug_assertions))]
 

@@ -8,17 +8,17 @@
 //! This module gives all of that one calling convention:
 //!
 //! - [`Solver`]: `solve(&self, &Instance, &SolveCtx) -> Result<Solution,
-//!   SolveError>`, implemented by [`ExactSolver`],
-//!   [`ParallelExactSolver`], [`GreedySolver`], [`BeamSolver`],
-//!   [`PortfolioSolver`], and [`crate::visit::VisitOrderSolver`];
+//!   SolveError>`, implemented by [`ExactSolver`], [`GreedySolver`],
+//!   [`BeamSolver`], [`PortfolioSolver`], and
+//!   [`crate::visit::VisitOrderSolver`];
 //! - [`Solution`]: the engine-validated [`Pebbling`] trace, its exact
 //!   [`Cost`], a [`Quality`] provenance tag, and per-solver [`Stats`];
 //! - [`SolveCtx`]: a [`Budget`] (wall-clock deadline, expansion cap,
-//!   cooperative cancellation flag — checked inside the exact, parallel,
-//!   and beam hot loops) plus an optional [`Progress`] observer.
+//!   cooperative cancellation flag — checked inside the exact and beam
+//!   hot loops) plus an optional [`Progress`] observer.
 //!
-//! String specs (`"exact"`, `"exact-parallel:4"`, `"beam:256"`, …) map
-//! to boxed solvers through [`crate::registry`].
+//! String specs (`"exact"`, `"greedy:most-red-inputs/lru"`,
+//! `"beam:256"`, …) map to boxed solvers through [`crate::registry`].
 //!
 //! ## Graceful degradation
 //! When a budget expires mid-search, the exact solvers do **not** error:
@@ -40,8 +40,7 @@ use crate::beam::{solve_beam_budgeted, BeamConfig};
 use crate::error::SolveError;
 use crate::exact::{solve_exact_budgeted, ExactConfig};
 use crate::greedy::{solve_greedy_with, GreedyConfig, GreedyReport};
-use crate::parallel::{greedy_incumbent, solve_parallel_budgeted, ParallelConfig};
-use crate::portfolio::{default_portfolio, solve_portfolio};
+use crate::portfolio::{default_portfolio, greedy_incumbent, solve_portfolio};
 use rbp_core::{bounds, engine, Cost, Instance, Move, Pebbling};
 use rbp_graph::NodeId;
 use std::collections::BTreeMap;
@@ -57,7 +56,7 @@ use std::time::{Duration, Instant};
 /// Resource limits for one solve. All limits are optional and combine
 /// with "whichever trips first"; the default is unlimited.
 ///
-/// The exact/parallel/beam hot loops poll the budget once per scheduling
+/// The exact and beam hot loops poll the budget once per scheduling
 /// quantum (a few hundred expansions), so expiry is honored within
 /// microseconds-to-milliseconds, not per state.
 #[derive(Clone, Debug, Default)]
@@ -140,10 +139,6 @@ impl Budget {
 }
 
 /// A progress snapshot delivered to the [`SolveCtx`] observer.
-///
-/// Sequential solvers report their own counters; the parallel solver
-/// reports the cross-shard aggregate for `states_expanded` and the
-/// reporting shard's local `frontier`.
 #[derive(Clone, Copy, Debug)]
 pub struct Progress {
     /// Wall-clock time since the search started.
@@ -152,8 +147,8 @@ pub struct Progress {
     pub states_expanded: u64,
     /// Expansion throughput since the start.
     pub states_per_sec: u64,
-    /// Entries queued in the (reporting shard's) frontier, counting a
-    /// state relaxed twice as two (the stale entry is skipped on pop).
+    /// Entries queued in the frontier, counting a state relaxed twice as
+    /// two (the stale entry is skipped on pop).
     pub frontier: usize,
     /// Best known upper bound on the optimal scaled cost, if any.
     pub incumbent: Option<u64>,
@@ -403,7 +398,7 @@ pub trait Solver: Send + Sync {
     fn name(&self) -> &str;
 
     /// The full registry spec this solver answers to, arguments
-    /// included (`"greedy:most-red-inputs/lru"`, `"exact-parallel:4"`).
+    /// included (`"greedy:most-red-inputs/lru"`, `"beam:256"`).
     /// The string round-trips: feeding it back through
     /// [`crate::registry::solver`] yields an equivalently configured
     /// solver, so services and stats reports can record *exactly* which
@@ -528,66 +523,6 @@ impl ExactSolver {
     }
 }
 
-/// Shared exact-path plumbing: seed, search, degrade. `threads` only
-/// labels the stats.
-fn run_exact_family(
-    instance: &Instance,
-    mut cfg: ExactConfig,
-    threads: usize,
-    seed_incumbent: bool,
-    ctx: &SolveCtx,
-) -> Result<Solution, SolveError> {
-    cfg.validate()?;
-    bounds::check_feasible(instance)?;
-    let seed: Option<(u64, GreedyReport)> = if seed_incumbent && cfg.prune {
-        greedy_incumbent(instance)
-    } else {
-        None
-    };
-    if let Some((ub, _)) = &seed {
-        cfg.upper_bound = Some(cfg.upper_bound.map_or(*ub, |b| b.min(*ub)));
-    }
-    let searched = if threads == 1 {
-        solve_exact_budgeted(instance, cfg, ctx)
-    } else {
-        solve_parallel_budgeted(instance, cfg, threads, ctx)
-    };
-    match searched {
-        Ok((report, optimal)) => {
-            let mut stats = Stats::new();
-            stats.set("states_expanded", report.states_expanded as u64);
-            stats.set("states_seen", report.states_seen as u64);
-            stats.set("threads", threads as u64);
-            let quality = if optimal && instance.procs() <= 1 {
-                Quality::Optimal
-            } else if optimal {
-                // the classic search only explores single-processor
-                // schedules; on p > 1 the multiprocessor optimum can be
-                // strictly cheaper, so the result is only an upper bound
-                upper_bound_quality(instance, report.cost)
-            } else {
-                stats.set("degraded", 1);
-                upper_bound_quality(instance, report.cost)
-            };
-            Solution::validated(instance, report.trace, quality, stats)
-        }
-        // budget expired (or the memory guard tripped) before any goal
-        // was reached: fall back to the greedy incumbent's trace
-        Err(SolveError::Interrupted) | Err(SolveError::StateLimitExceeded { .. })
-            if seed.is_some() =>
-        {
-            let (_, rep) = seed.expect("guarded");
-            let mut stats = Stats::new();
-            stats.set("threads", threads as u64);
-            stats.set("degraded", 1);
-            // a seed that meets the lower bound genuinely is optimal
-            let quality = upper_bound_quality(instance, rep.cost);
-            Solution::validated(instance, rep.trace, quality, stats)
-        }
-        Err(e) => Err(e),
-    }
-}
-
 impl Solver for ExactSolver {
     fn name(&self) -> &str {
         if self.cfg.prune || self.cfg.astar {
@@ -606,59 +541,52 @@ impl Solver for ExactSolver {
     }
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        run_exact_family(instance, self.cfg, 1, self.seed_incumbent, ctx)
-    }
-}
-
-// ---------------------------------------------------------------------
-// exact (parallel)
-// ---------------------------------------------------------------------
-
-/// The hash-sharded parallel exact solver ([`crate::parallel`]) behind
-/// the [`Solver`] trait. `threads == 1` routes to the sequential path
-/// (still incumbent-seeded); the budget is polled once per worker
-/// quantum, so cancellation stops the search within one batch quantum.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParallelExactSolver {
-    /// Thread count, search knobs, and seeding policy.
-    pub cfg: ParallelConfig,
-}
-
-impl ParallelExactSolver {
-    /// All available cores, default search knobs.
-    pub fn new() -> Self {
-        ParallelExactSolver::default()
-    }
-
-    /// A fixed thread count (must be ≥ 1; validated at solve time).
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelExactSolver {
-            cfg: ParallelConfig {
-                threads,
-                ..ParallelConfig::default()
-            },
+        // seed, search, degrade
+        let mut cfg = self.cfg;
+        cfg.validate()?;
+        bounds::check_feasible(instance)?;
+        let seed: Option<(u64, GreedyReport)> = if self.seed_incumbent && cfg.prune {
+            greedy_incumbent(instance)
+        } else {
+            None
+        };
+        if let Some((ub, _)) = &seed {
+            cfg.upper_bound = Some(cfg.upper_bound.map_or(*ub, |b| b.min(*ub)));
         }
-    }
-}
-
-impl Solver for ParallelExactSolver {
-    fn name(&self) -> &str {
-        "exact-parallel"
-    }
-
-    fn spec(&self) -> String {
-        format!("exact-parallel:{}", self.cfg.threads)
-    }
-
-    fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        self.cfg.validate()?;
-        run_exact_family(
-            instance,
-            self.cfg.exact,
-            self.cfg.threads,
-            self.cfg.seed_incumbent,
-            ctx,
-        )
+        match solve_exact_budgeted(instance, cfg, ctx) {
+            Ok((report, optimal)) => {
+                let mut stats = Stats::new();
+                stats.set("states_expanded", report.states_expanded as u64);
+                stats.set("states_seen", report.states_seen as u64);
+                stats.set("threads", 1);
+                let quality = if optimal && instance.procs() <= 1 {
+                    Quality::Optimal
+                } else if optimal {
+                    // the classic search only explores single-processor
+                    // schedules; on p > 1 the multiprocessor optimum can be
+                    // strictly cheaper, so the result is only an upper bound
+                    upper_bound_quality(instance, report.cost)
+                } else {
+                    stats.set("degraded", 1);
+                    upper_bound_quality(instance, report.cost)
+                };
+                Solution::validated(instance, report.trace, quality, stats)
+            }
+            // budget expired (or the memory guard tripped) before any goal
+            // was reached: fall back to the greedy incumbent's trace
+            Err(SolveError::Interrupted) | Err(SolveError::StateLimitExceeded { .. })
+                if seed.is_some() =>
+            {
+                let (_, rep) = seed.expect("guarded");
+                let mut stats = Stats::new();
+                stats.set("threads", 1);
+                stats.set("degraded", 1);
+                // a seed that meets the lower bound genuinely is optimal
+                let quality = upper_bound_quality(instance, rep.cost);
+                Solution::validated(instance, rep.trace, quality, stats)
+            }
+            Err(e) => Err(e),
+        }
     }
 }
 

@@ -14,25 +14,20 @@
 //!
 //! ## Hot-path layout
 //! The expand loop allocates nothing. All machinery is flat, and the move
-//! generation itself lives in the shared [`Expander`] so the sequential
-//! and parallel solvers explore one and the same configuration graph:
+//! generation itself lives in [`Expander`], apart from the search loop:
 //!
-//! - **Shared move generator** ([`Expander`]): guards, prunes, and the
+//! - **Move generator** ([`Expander`]): guards, prunes, and the
 //!   incremental ±delta metadata ([`Meta`]) are defined once; this solver
-//!   plugs an intern-and-relax sink into [`Expander::expand`], the
-//!   parallel solver ([`crate::parallel`]) plugs a shard router.
+//!   plugs an intern-and-relax sink into [`Expander::expand`].
 //! - **Arena interning** ([`StateArena`]): every key lives contiguously in
 //!   one `Vec<u64>`; a linear-probe table of `u32` ids (hashed from arena
 //!   slices) replaces the old `HashMap<Box<[u64]>, u32>`. A hit is a hash
-//!   probe plus one slice compare; a miss appends `key_words` words. The
-//!   same `hash_words` digest doubles as the shard router of the parallel
-//!   solver ([`StateArena::shard_of`]), so a state's owner is a pure
-//!   function of its key.
+//!   probe plus one slice compare; a miss appends `key_words` words.
 //! - **Struct-of-arrays bookkeeping** ([`NodeTable`]): `dist`, `parent`,
 //!   `settled` and the incremental metadata are parallel arrays indexed
 //!   by state id.
 //! - **Goal-directed frontier** (`Frontier` in [`crate::arena`], the one
-//!   open list of this solver, [`crate::mpp`] and [`crate::parallel`]):
+//!   open list of this solver and [`crate::mpp`]):
 //!   open states are keyed `(f, unsatisfied sinks)` and leave FIFO
 //!   within a key. Any order among equal `f` is valid for Dijkstra/A*;
 //!   fewer-unsat-first drains the last `f` layer toward goals instead of
@@ -43,8 +38,8 @@
 //!   where FIFO returns 41, at the same optimal cost). It is an ordered map
 //!   from key to FIFO bucket (a scaled `f` is an arbitrary `u64`, so no
 //!   array is indexed by it); a pop takes the first bucket's front, so
-//!   a push below the last popped key (out-of-order `f` in a sharded
-//!   search) still pops first.
+//!   a push below the last popped key (A* without the prunes can lower
+//!   `f`) still pops first.
 //! - **Bitset adjacency** ([`Dag::pred_mask`]/[`Dag::succ_mask`]): the
 //!   "all inputs red" gate of a compute and the "has an uncomputed
 //!   successor" prune are word-wise `ANDN` loops over packed mask rows,
@@ -56,8 +51,8 @@
 //! ## Incumbent-bound pruning
 //! The search carries an *incumbent*: the cheapest known upper bound on
 //! the optimum. It starts from [`ExactConfig::upper_bound`] (callers
-//! seed it with a greedy portfolio cost — [`crate::parallel`] does this
-//! automatically) and tightens to the best goal distance discovered
+//! seed it with a greedy portfolio cost — [`crate::api::ExactSolver`]
+//! does this automatically) and tightens to the best goal distance discovered
 //! during the search. Any successor with `g + h` strictly above the
 //! seeded bound, or at-or-above the best discovered goal, is dropped
 //! *before* it is interned: since the bound is realized by a concrete
@@ -65,10 +60,7 @@
 //! it), so the optimum is unchanged while the arena, frontier, and probe
 //! table stay smaller. On positive-cost frontiers (e.g. the base model's
 //! grid cell) this skips the large shell of states strictly beyond the
-//! optimum that plain Dijkstra would intern but never expand. The same
-//! cutoff is what makes the parallel solver's termination test sound:
-//! "every shard quiescent with local `f`-min at-or-above the incumbent"
-//! certifies optimality.
+//! optimum that plain Dijkstra would intern but never expand.
 //!
 //! ## Incremental-delta invariants
 //! Three state functions are threaded through expansion as ±deltas and
@@ -178,8 +170,9 @@ impl ExactConfig {
     /// states with `f == bound` must survive because the bound may be
     /// exactly optimal — and `u64::MAX` (no cutoff) when no bound is set
     /// or pruning is off (the brute-force reference mode must stay
-    /// exhaustive). Both exact solvers derive their cutoff from this one
-    /// definition so an exactly-tight seed prunes identically in each.
+    /// exhaustive). The classic and MPP searches derive their cutoff from
+    /// this one definition so an exactly-tight seed prunes identically in
+    /// each.
     #[inline]
     pub fn seed_cutoff(&self) -> u64 {
         match self.upper_bound {

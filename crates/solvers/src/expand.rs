@@ -1,20 +1,17 @@
-//! The shared move generator of the exact solvers.
+//! The move generator of the classic exact search.
 //!
-//! Sequential Dijkstra/A* ([`crate::exact`]) and the hash-sharded
-//! parallel search ([`crate::parallel`]) explore the same configuration
-//! graph; this module owns its single definition. An [`Expander`] packages
-//! everything that is a pure function of the instance — key layout, move
-//! guards, the optimality-preserving prunes, and the incremental ±delta
-//! bookkeeping ([`Meta`]) — so both solvers generate byte-identical
-//! successor keys with identical metadata, and the subtle per-model rules
-//! are written (and tested) exactly once.
+//! Dijkstra/A* ([`crate::exact`]) explores the configuration graph this
+//! module defines. An [`Expander`] packages everything that is a pure
+//! function of the instance — key layout, move guards, the
+//! optimality-preserving prunes, and the incremental ±delta bookkeeping
+//! ([`Meta`]) — so the subtle per-model rules are written (and tested)
+//! once, apart from the search loop.
 //!
 //! The expander is deliberately storage-agnostic: it does not know about
-//! arenas, heaps, or distances. [`Expander::expand`] walks the legal moves
-//! of a popped state and hands each successor `(key, move, edge cost,
-//! meta)` to a caller-supplied sink, which interns/relaxes it wherever
-//! that solver keeps its states (a local [`crate::arena::StateArena`], or
-//! a batch buffer bound for another shard's owner thread).
+//! arenas, frontiers, or distances. [`Expander::expand`] walks the legal
+//! moves of a popped state and hands each successor `(key, move, edge
+//! cost, meta)` to a caller-supplied sink, which interns/relaxes it in
+//! the solver's [`crate::arena::StateArena`].
 //!
 //! See the [`crate::exact`] module docs for the semantics of the state
 //! encoding, the prune rules, and the A* heuristic; the documentation
@@ -29,9 +26,9 @@ use rbp_graph::NodeId;
 /// popped state to each successor as ±deltas instead of being rescanned.
 ///
 /// Each field is a pure function of the state key, so it is stored once
-/// at intern time regardless of which path (or which shard's message)
-/// reaches the state first; debug builds assert every delta against a
-/// full rescan ([`Expander::meta_scan`]).
+/// at intern time regardless of which path reaches the state first;
+/// debug builds assert every delta against a full rescan
+/// ([`Expander::meta_scan`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Meta {
     /// Number of red pebbles in the state.
@@ -466,7 +463,7 @@ mod tests {
     #[test]
     fn goal_states_have_zero_heuristic() {
         // at a goal every node is computed, so the A* count is empty —
-        // the parallel solver's f = g at goals relies on this
+        // the search's f = g at goals relies on this
         let inst = Instance::new(generate::chain(3), 2, CostModel::oneshot());
         let exp = Expander::new(&inst, true, true);
         let mut key = vec![0u64; exp.key_words()];

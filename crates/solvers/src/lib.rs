@@ -25,7 +25,7 @@
 //!
 //! // …or the same solver under a budget: on expiry the exact solvers
 //! // return their best incumbent as Quality::UpperBound, not an error
-//! let solver = registry::solver("exact-parallel:2").unwrap();
+//! let solver = registry::solver("exact").unwrap();
 //! let ctx = SolveCtx::new(Budget::none().with_deadline(std::time::Duration::from_secs(5)));
 //! let sol = solver.solve(&inst, &ctx).unwrap();
 //! assert_eq!(sol.cost.transfers, 0);
@@ -45,8 +45,6 @@
 //! - [`exact`]: optimal pebbling via Dijkstra/A* over configurations,
 //!   with per-model optimality-preserving pruning, incumbent-bound
 //!   pruning, and an unpruned reference mode for cross-validation;
-//! - [`parallel`]: the hash-sharded parallel exact search (HDA*) over
-//!   the same configuration graph, seeded with a greedy incumbent;
 //! - [`expand`]: the move generator both exact solvers share;
 //! - [`greedy`]: the three natural greedy rules of Section 8 with
 //!   pluggable eviction policies;
@@ -80,7 +78,6 @@ pub mod exact;
 pub mod expand;
 pub mod greedy;
 pub mod mpp;
-pub mod parallel;
 pub mod pool;
 pub mod portfolio;
 pub mod registry;
@@ -89,10 +86,10 @@ pub mod visit;
 pub mod wire;
 
 pub use api::{
-    panic_payload_to_string, BeamSolver, Budget, ExactSolver, GreedySolver, ParallelExactSolver,
-    PortfolioSolver, Progress, Quality, Solution, SolveCtx, Solver, Stats,
+    panic_payload_to_string, BeamSolver, Budget, ExactSolver, GreedySolver, PortfolioSolver,
+    Progress, Quality, Solution, SolveCtx, Solver, Stats,
 };
-pub use arena::{global_id, split_id, NodeTable, StateArena, NO_STATE};
+pub use arena::{NodeTable, StateArena, NO_STATE};
 pub use beam::BeamConfig;
 pub use coarse::{CoarseConfig, CoarseSolver};
 pub use error::SolveError;
@@ -103,10 +100,9 @@ pub use mpp::{
     solve_exact_mpp, solve_greedy_mpp, ExactMppSolver, GreedyMppSolver, MppExactReport,
     MppGreedyReport,
 };
-pub use parallel::ParallelConfig;
 pub use portfolio::default_portfolio;
 pub use registry::Registry;
-pub use sweep::{check_tradeoff_laws, sweep_r, sweep_r_serial, sweep_r_with, SweepPoint};
+pub use sweep::{check_tradeoff_laws, sweep_r, sweep_r_with, SweepPoint};
 pub use visit::{
     best_order, best_order_from, held_karp, GroupSpec, GroupedDag, OrderResult, VisitOrderSolver,
 };

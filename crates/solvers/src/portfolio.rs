@@ -7,7 +7,7 @@
 
 use crate::error::SolveError;
 use crate::greedy::{solve_greedy_with, EvictionPolicy, GreedyConfig, GreedyReport, SelectionRule};
-use rbp_core::Instance;
+use rbp_core::{bounds, Instance};
 
 /// The default portfolio: all three selection rules crossed with the
 /// deterministic eviction policies.
@@ -55,6 +55,56 @@ pub fn solve_portfolio(
         }
     }
     best.ok_or(last_err)
+}
+
+/// Best-of-greedy incumbent — the scaled upper bound plus the report
+/// realizing it — used to seed the exact searches and as the fallback a
+/// budget-expired solve degrades to. `None` when every greedy
+/// configuration fails (the search then starts unbounded).
+///
+/// Cost-staged: the single default greedy runs first, and the full
+/// portfolio only when that bound could still improve — i.e. when it
+/// sits above the model's provable floor
+/// ([`bounds::best_lower_bound`]). On instances whose default greedy
+/// is already optimal (chains, most zero-cost cells) seeding costs one
+/// microsecond-scale greedy solve instead of nine, which keeps the
+/// seeded sequential path competitive even on solves that finish in
+/// tens of microseconds.
+pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<(u64, GreedyReport)> {
+    let eps = instance.model().epsilon();
+    let clamp = |scaled: u128| u64::try_from(scaled).unwrap_or(u64::MAX);
+    let floor = bounds::best_lower_bound(instance).scaled(eps);
+    let first = crate::greedy::solve_greedy(instance).ok();
+    if let Some(rep) = &first {
+        if rep.cost.scaled(eps) <= floor {
+            let scaled = clamp(rep.cost.scaled(eps));
+            return first.map(|r| (scaled, r));
+        }
+    }
+    // escalation re-runs the other eight configurations only — the
+    // default one already produced `first`
+    let rest: Vec<_> = default_portfolio()
+        .into_iter()
+        .filter(|c| *c != crate::greedy::GreedyConfig::default())
+        .collect();
+    let best = if rest.is_empty() {
+        None
+    } else {
+        solve_portfolio(instance, &rest).ok().map(|(_, rep)| rep)
+    };
+    match (first, best) {
+        (Some(a), Some(b)) => {
+            let winner = if a.cost.scaled(eps) <= b.cost.scaled(eps) {
+                a
+            } else {
+                b
+            };
+            Some((clamp(winner.cost.scaled(eps)), winner))
+        }
+        (Some(a), None) => Some((clamp(a.cost.scaled(eps)), a)),
+        (None, Some(b)) => Some((clamp(b.cost.scaled(eps)), b)),
+        (None, None) => None,
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,6 @@
 //!
 //! exact                         sequential exact (pruned, A*, greedy-seeded)
 //! exact:unseeded                same, without the greedy incumbent seed
-//! exact-parallel[:THREADS]      hash-sharded parallel exact; THREADS ≥ 1
-//!                               (default: all cores)
 //! reference                     brute-force exact (no pruning/heuristic/seed)
 //! greedy[:RULE[/EVICT]]         one greedy configuration
 //!     RULE  ∈ most-red-inputs | fewest-blue-inputs | highest-red-ratio
@@ -32,7 +30,7 @@
 //!                               traces with boundary stores/loads
 //! ```
 //!
-//! Degenerate numeric arguments (`exact-parallel:0`, `beam:0`) parse
+//! Degenerate numeric arguments (`beam:0`) parse
 //! but fail at solve time with [`SolveError::BadConfig`], mirroring the
 //! programmatic API; malformed specs fail at parse time with
 //! [`SolveError::BadSpec`].
@@ -53,15 +51,13 @@
 //! ```
 
 use crate::api::{
-    BeamSolver, ExactSolver, GreedySolver, ParallelExactSolver, PortfolioSolver, Solution,
-    SolveCtx, Solver,
+    BeamSolver, ExactSolver, GreedySolver, PortfolioSolver, Solution, SolveCtx, Solver,
 };
 use crate::beam::BeamConfig;
 use crate::coarse::{CoarseConfig, CoarseSolver};
 use crate::error::SolveError;
 use crate::greedy::{EvictionPolicy, GreedyConfig, SelectionRule};
 use crate::mpp::{ExactMppSolver, GreedyMppSolver};
-use crate::parallel::ParallelConfig;
 use rbp_core::Instance;
 
 /// A factory turning optional spec arguments (the part after `:`) into
@@ -105,25 +101,6 @@ impl Registry {
                 None => Ok(Box::new(ExactSolver::new())),
                 Some("unseeded") => Ok(Box::new(ExactSolver::new().unseeded())),
                 Some(other) => Err(bad_args("exact", other, "expected no args or 'unseeded'")),
-            },
-        );
-        r.register(
-            "exact-parallel",
-            "hash-sharded parallel exact; arg = thread count (default: all cores)",
-            |a| {
-                let cfg = match a {
-                    None => ParallelConfig::default(),
-                    Some(n) => {
-                        let threads: usize = n.parse().map_err(|_| {
-                            bad_args("exact-parallel", n, "thread count must be an integer")
-                        })?;
-                        ParallelConfig {
-                            threads,
-                            ..ParallelConfig::default()
-                        }
-                    }
-                };
-                Ok(Box::new(ParallelExactSolver { cfg }))
             },
         );
         r.register(
@@ -367,8 +344,6 @@ mod tests {
         for spec in [
             "exact",
             "exact:unseeded",
-            "exact-parallel",
-            "exact-parallel:2",
             "reference",
             "greedy",
             "greedy:most-red-inputs",
@@ -395,12 +370,10 @@ mod tests {
     fn solver_specs_round_trip_through_the_registry() {
         // spec → solver → .spec() → solver must be a fixed point after
         // one normalization step (defaults become explicit: `beam` →
-        // `beam:8`, `exact-parallel` → `exact-parallel:<cores>`).
+        // `beam:8`).
         for spec in [
             "exact",
             "exact:unseeded",
-            "exact-parallel",
-            "exact-parallel:2",
             "reference",
             "greedy",
             "greedy:most-red-inputs",
@@ -427,10 +400,6 @@ mod tests {
         }
         // explicit arguments survive verbatim
         assert_eq!(solver("beam:4").unwrap().spec(), "beam:4");
-        assert_eq!(
-            solver("exact-parallel:2").unwrap().spec(),
-            "exact-parallel:2"
-        );
         assert_eq!(
             solver("greedy:fewest-blue-inputs/lru").unwrap().spec(),
             "greedy:fewest-blue-inputs/lru"
@@ -464,7 +433,6 @@ mod tests {
         for spec in [
             "exat",
             "exact:fast",
-            "exact-parallel:many",
             "beam:wide",
             "greedy:topo",
             "greedy:most-red-inputs/arc",
@@ -487,13 +455,11 @@ mod tests {
     #[test]
     fn degenerate_numeric_args_fail_at_solve_time() {
         let inst = diamond();
-        for spec in ["exact-parallel:0", "beam:0"] {
-            let s = solver(spec).expect("parses");
-            assert!(
-                matches!(s.solve_default(&inst), Err(SolveError::BadConfig { .. })),
-                "{spec} should be a BadConfig at solve time"
-            );
-        }
+        let s = solver("beam:0").expect("parses");
+        assert!(
+            matches!(s.solve_default(&inst), Err(SolveError::BadConfig { .. })),
+            "beam:0 should be a BadConfig at solve time"
+        );
     }
 
     #[test]
@@ -515,10 +481,8 @@ mod tests {
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::oneshot());
             let exact = solve("exact", &inst).unwrap();
-            let par = solve("exact-parallel:2", &inst).unwrap();
             let reference = solve("reference", &inst).unwrap();
             assert_eq!(exact.scaled_cost(&inst), reference.scaled_cost(&inst));
-            assert_eq!(exact.scaled_cost(&inst), par.scaled_cost(&inst));
             let greedy = solve("greedy", &inst).unwrap();
             assert!(exact.scaled_cost(&inst) <= greedy.scaled_cost(&inst));
         }

@@ -9,7 +9,7 @@
 //! | [`Invariant::SolverError`] | no registry spec errors on a feasible instance |
 //! | [`Invariant::OptimalAgreement`] | every `Quality::Optimal` claim equals the exact optimum |
 //! | [`Invariant::HeuristicDominated`] | every heuristic cost ≥ the optimum |
-//! | [`Invariant::ParallelAgreement`] | `exact-parallel:N == exact` for N ∈ {1, 2, 4} |
+//! | [`Invariant::ExactAgreement`] | `reference == exact` and `exact:unseeded == exact` |
 //! | [`Invariant::DegradedBracket`] | budget-degraded `UpperBound`: `lower_bound ≤ optimum ≤ cost` |
 //! | [`Invariant::CacheIdentity`] | a cache hit is byte-identical to the solution inserted |
 //! | [`Invariant::InstanceRoundTrip`] | `write ∘ parse ∘ write` is identity for `instance v1` |
@@ -30,13 +30,10 @@ use std::fmt;
 
 /// The registry specs the harness differentials across — every solver
 /// family, with the argument grammar exercised (greedy rules × eviction
-/// policies, beam widths, parallel shard counts).
+/// policies, beam widths, coarse group counts and inner specs).
 pub const SPECS: &[&str] = &[
     "exact",
     "exact:unseeded",
-    "exact-parallel:1",
-    "exact-parallel:2",
-    "exact-parallel:4",
     "greedy",
     "greedy:fewest-blue-inputs/lru",
     "greedy:highest-red-ratio/fifo",
@@ -47,10 +44,6 @@ pub const SPECS: &[&str] = &[
     "coarse:3/greedy",
 ];
 
-/// The exact-family specs whose costs must all equal the anchor
-/// optimum.
-const PARALLEL_SPECS: &[&str] = &["exact-parallel:1", "exact-parallel:2", "exact-parallel:4"];
-
 /// Which lattice row a violation falls under.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Invariant {
@@ -60,8 +53,9 @@ pub enum Invariant {
     OptimalAgreement,
     /// A heuristic produced a cost below the proved optimum.
     HeuristicDominated,
-    /// An exact-parallel cost differs from the sequential exact cost.
-    ParallelAgreement,
+    /// Another exact-family solve (`reference`, `exact:unseeded`)
+    /// differs from the seeded `exact` cost.
+    ExactAgreement,
     /// A budget-degraded upper bound fails `lb ≤ optimum ≤ cost`.
     DegradedBracket,
     /// A cache hit returned bytes different from the inserted solution.
@@ -91,7 +85,7 @@ impl Invariant {
             Invariant::SolverError => "solver-error",
             Invariant::OptimalAgreement => "optimal-agreement",
             Invariant::HeuristicDominated => "heuristic-dominated",
-            Invariant::ParallelAgreement => "parallel-agreement",
+            Invariant::ExactAgreement => "exact-agreement",
             Invariant::DegradedBracket => "degraded-bracket",
             Invariant::CacheIdentity => "cache-identity",
             Invariant::InstanceRoundTrip => "instance-round-trip",
@@ -316,11 +310,11 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
         }
         if anchored
             && sol.is_optimal()
-            && (PARALLEL_SPECS.contains(&spec) || spec == "reference" || spec == "exact:unseeded")
+            && (spec == "reference" || spec == "exact:unseeded")
             && cost != opt
         {
             out.violations.push(Violation {
-                invariant: Invariant::ParallelAgreement,
+                invariant: Invariant::ExactAgreement,
                 spec: spec.to_string(),
                 detail: format!("exact-family cost {cost} != sequential exact {opt}"),
             });
