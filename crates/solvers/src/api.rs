@@ -38,9 +38,11 @@
 
 use crate::beam::{solve_beam_budgeted, BeamConfig};
 use crate::error::SolveError;
-use crate::exact::{solve_exact_budgeted, ExactConfig};
+use crate::exact::ExactConfig;
+use crate::expand::Expander;
 use crate::greedy::{solve_greedy_with, GreedyConfig, GreedyReport};
 use crate::portfolio::{default_portfolio, greedy_incumbent, solve_portfolio};
+use crate::search::solve_seeded;
 use rbp_core::{bounds, engine, Cost, Instance, Move, Pebbling};
 use rbp_graph::NodeId;
 use std::collections::BTreeMap;
@@ -226,7 +228,7 @@ pub enum Quality {
 }
 
 /// Structured per-solver statistics: a small ordered map of `u64`
-/// counters (`"states_expanded"`, `"states_seen"`, `"threads"`,
+/// counters (`"states_expanded"`, `"states_seen"`, `"degraded"`,
 /// `"width"`, …). One shape for every solver, so report code does not
 /// need to know which solver produced a [`Solution`]. Keys are owned
 /// strings so stats survive a round trip through the wire format
@@ -431,8 +433,8 @@ pub trait Solver: Send + Sync {
     /// [`SolveError::Panicked`] instead of killing the calling thread.
     ///
     /// Unwind safety: every solver in this crate keeps its search state
-    /// (arena, node tables, heaps, routing channels) local to the solve
-    /// call, so an unwound solve cannot leave broken state visible to a
+    /// (state arena, node table, frontier, scratch buffers) local to the
+    /// solve call, so an unwound solve cannot leave broken state visible to a
     /// later call — the `AssertUnwindSafe` below asserts exactly that
     /// per-job locality. Long-running hosts (the service worker pool)
     /// use this entry point so one poisoned job cannot strand a worker.
@@ -460,11 +462,12 @@ pub fn panic_payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String
 }
 
 // ---------------------------------------------------------------------
-// exact (sequential)
+// exact
 // ---------------------------------------------------------------------
 
-/// The sequential exact solver ([`crate::exact`]) behind the [`Solver`]
-/// trait: optimal pebbling via Dijkstra/A*, seeded with a greedy
+/// The classic exact solver ([`crate::exact`]) behind the [`Solver`]
+/// trait: the search kernel ([`crate::search`]) over the classic
+/// expander — optimal pebbling via Dijkstra/A*, seeded with a greedy
 /// incumbent by default, budget-aware with graceful degradation.
 #[derive(Clone, Copy, Debug)]
 pub struct ExactSolver {
@@ -541,52 +544,15 @@ impl Solver for ExactSolver {
     }
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        // seed, search, degrade
-        let mut cfg = self.cfg;
-        cfg.validate()?;
-        bounds::check_feasible(instance)?;
-        let seed: Option<(u64, GreedyReport)> = if self.seed_incumbent && cfg.prune {
-            greedy_incumbent(instance)
-        } else {
-            None
-        };
-        if let Some((ub, _)) = &seed {
-            cfg.upper_bound = Some(cfg.upper_bound.map_or(*ub, |b| b.min(*ub)));
-        }
-        match solve_exact_budgeted(instance, cfg, ctx) {
-            Ok((report, optimal)) => {
-                let mut stats = Stats::new();
-                stats.set("states_expanded", report.states_expanded as u64);
-                stats.set("states_seen", report.states_seen as u64);
-                stats.set("threads", 1);
-                let quality = if optimal && instance.procs() <= 1 {
-                    Quality::Optimal
-                } else if optimal {
-                    // the classic search only explores single-processor
-                    // schedules; on p > 1 the multiprocessor optimum can be
-                    // strictly cheaper, so the result is only an upper bound
-                    upper_bound_quality(instance, report.cost)
-                } else {
-                    stats.set("degraded", 1);
-                    upper_bound_quality(instance, report.cost)
-                };
-                Solution::validated(instance, report.trace, quality, stats)
-            }
-            // budget expired (or the memory guard tripped) before any goal
-            // was reached: fall back to the greedy incumbent's trace
-            Err(SolveError::Interrupted) | Err(SolveError::StateLimitExceeded { .. })
-                if seed.is_some() =>
-            {
-                let (_, rep) = seed.expect("guarded");
-                let mut stats = Stats::new();
-                stats.set("threads", 1);
-                stats.set("degraded", 1);
-                // a seed that meets the lower bound genuinely is optimal
-                let quality = upper_bound_quality(instance, rep.cost);
-                Solution::validated(instance, rep.trace, quality, stats)
-            }
-            Err(e) => Err(e),
-        }
+        let seeded = self.seed_incumbent && self.cfg.prune;
+        solve_seeded(
+            instance,
+            Expander::new(instance, self.cfg.prune, self.cfg.astar),
+            self.cfg,
+            ctx,
+            || seeded.then(|| greedy_incumbent(instance)).flatten(),
+            |_| Stats::new(),
+        )
     }
 }
 
@@ -751,7 +717,9 @@ mod tests {
         assert!(sol.is_optimal());
         assert_eq!(sol.cost.transfers, 0);
         assert!(sol.states_expanded().unwrap() >= 1);
-        assert_eq!(sol.stats.get("threads"), Some(1));
+        // exactly the kernel's keys: no degradation, no thread count
+        let keys: Vec<&str> = sol.stats.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["states_expanded", "states_seen"]);
     }
 
     #[test]

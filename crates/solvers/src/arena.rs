@@ -1,6 +1,6 @@
-//! Allocation-free state interning for the exact solver.
+//! Allocation-free state interning for the exact search kernel.
 //!
-//! The exact solver interns millions of fixed-width `u64` state keys. The
+//! The search kernel ([`crate::search`]) interns millions of fixed-width `u64` state keys. The
 //! naive representation (`HashMap<Box<[u64]>, u32>` plus a parallel
 //! `Vec<Box<[u64]>>`) pays two heap allocations per interned state and a
 //! pointer chase per probe. [`StateArena`] replaces it with:
@@ -14,19 +14,16 @@
 //! `intern` on the hit path is a hash, a probe, and one slice compare —
 //! zero allocation. On the miss path it is one `extend_from_slice` into
 //! the arena (amortized grow) plus a table store. Ids are dense and
-//! assigned in first-intern order, so per-state solver bookkeeping lives
-//! in parallel arrays ([`NodeTable`]) instead of per-state boxes.
+//! assigned in first-intern order, so the kernel's per-state bookkeeping
+//! lives in parallel arrays instead of per-state boxes.
 //!
-//! The open list that orders those ids, `Frontier`, lives here too: it
-//! is shared by both exact searches (classic and multiprocessor).
+//! The open list that orders those ids, `Frontier`, lives here too.
 
-use rbp_core::Move;
 use rbp_graph::hash::hash_words;
-use rbp_graph::NodeId;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Sentinel id marking an empty slot in the probe table and the root's
-/// parent in [`NodeTable`].
+/// parent in the search kernel's bookkeeping.
 pub const NO_STATE: u32 = u32::MAX;
 
 /// A flat intern table for fixed-width `u64` keys.
@@ -133,67 +130,6 @@ impl StateArena {
     }
 }
 
-/// Struct-of-arrays per-state bookkeeping for the exact search, indexed
-/// by [`StateArena`] id.
-///
-/// Splitting the fields keeps each access pattern dense: the Dijkstra
-/// relaxation touches `dist`/`settled`, trace recovery walks `parent`,
-/// and the incremental-delta machinery reads the three metadata arrays
-/// (`red_count`, `unsat_sinks`, `heur`) exactly once per expansion.
-///
-/// Invariant: all arrays stay the same length as the owning arena; every
-/// interned state pushes exactly one entry.
-#[derive(Clone, Debug, Default)]
-pub struct NodeTable {
-    /// Tentative scaled distance from the initial state (`u64::MAX` =
-    /// unreached).
-    pub dist: Vec<u64>,
-    /// `(predecessor id, move)` realizing `dist`; `(NO_STATE, _)` for the
-    /// root.
-    pub parent: Vec<(u32, Move)>,
-    /// Whether the state has been popped with its final distance.
-    pub settled: Vec<bool>,
-    /// Number of red pebbles in the state (maintained by ±1 deltas).
-    pub red_count: Vec<u32>,
-    /// Number of sinks not yet satisfying the finishing condition; the
-    /// state is a goal iff this is 0.
-    pub unsat_sinks: Vec<u32>,
-    /// Cached admissible heuristic value (scaled units; 0 when A* is
-    /// off or inapplicable).
-    pub heur: Vec<u64>,
-}
-
-impl NodeTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of tracked states.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.dist.len()
-    }
-
-    /// Whether the table is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.dist.is_empty()
-    }
-
-    /// Appends bookkeeping for a freshly interned state with the given
-    /// incremental metadata; distance starts unreached.
-    #[inline]
-    pub fn push(&mut self, red_count: u32, unsat_sinks: u32, heur: u64) {
-        self.dist.push(u64::MAX);
-        self.parent.push((NO_STATE, Move::Delete(NodeId::new(0))));
-        self.settled.push(false);
-        self.red_count.push(red_count);
-        self.unsat_sinks.push(unsat_sinks);
-        self.heur.push(heur);
-    }
-}
-
 /// The open list of the exact searches: state ids ordered by the key
 /// `(f, unsatisfied sinks)`, first-in first-out among equal keys.
 ///
@@ -263,7 +199,7 @@ mod tests {
 
     #[test]
     fn frontier_pops_in_min_key_order() {
-        let mut q = Frontier::new();
+        let mut q = Frontier::default();
         // f dominates, unsat breaks ties between equal f
         for (f, unsat, id) in [(5, 0, 1), (3, 2, 2), (9, 0, 3), (3, 1, 4), (0, 7, 5)] {
             q.push(f, unsat, id);
@@ -276,7 +212,7 @@ mod tests {
 
     #[test]
     fn frontier_is_fifo_within_a_key() {
-        let mut q = Frontier::new();
+        let mut q = Frontier::default();
         for id in 0..5 {
             q.push(4, 1, id);
             q.push(6, 0, 10 + id);
@@ -287,7 +223,7 @@ mod tests {
 
     #[test]
     fn frontier_pops_a_key_below_the_last_popped_first() {
-        let mut q = Frontier::new();
+        let mut q = Frontier::default();
         q.push(10, 2, 1);
         q.push(10, 2, 2);
         q.push(12, 0, 3);
@@ -305,7 +241,7 @@ mod tests {
 
     #[test]
     fn frontier_len_counts_stale_duplicates() {
-        let mut q = Frontier::new();
+        let mut q = Frontier::default();
         // the same state relaxed twice is queued twice
         q.push(8, 1, 42);
         q.push(5, 1, 42);
@@ -368,21 +304,6 @@ mod tests {
         assert_ne!(x, y);
         assert_eq!(a.key(x)[3], 1);
         assert_eq!(a.key(y)[3], 2);
-    }
-
-    #[test]
-    fn node_table_tracks_arena() {
-        let mut t = NodeTable::new();
-        assert!(t.is_empty());
-        t.push(3, 1, 10);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.dist[0], u64::MAX);
-        assert_eq!(t.parent[0].0, NO_STATE);
-        assert!(!t.settled[0]);
-        assert_eq!(
-            (t.red_count[0], t.unsat_sinks[0], t.heur[0]),
-            (3u32, 1u32, 10u64)
-        );
     }
 
     #[test]

@@ -298,7 +298,7 @@ fn ensure_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::solve_exact;
+    use crate::api::{ExactSolver, Solver};
     use crate::greedy::solve_greedy;
     use rbp_core::CostModel;
     use rbp_graph::generate;
@@ -336,7 +336,7 @@ mod tests {
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::oneshot());
             let eps = inst.model().epsilon();
-            let exact = solve_exact(&inst).unwrap();
+            let exact = ExactSolver::new().solve_default(&inst).unwrap();
             let beam = solve_beam(&inst, BeamConfig { width: 16 }).unwrap();
             let greedy = solve_greedy(&inst).unwrap();
             assert!(exact.cost.scaled(eps) <= beam.cost.scaled(eps));

@@ -1,8 +1,9 @@
 //! Exact optimal pebbling via Dijkstra / A* over configurations.
 //!
 //! A configuration is `(red, blue[, computed])` packed into `u64` words;
-//! moves are edges weighted by their scaled cost (`transfers·den +
-//! computes·num`, exact integers). Dijkstra over this graph yields the
+//! moves are edges weighted by their scaled cost in the instance's own
+//! objective ([`Instance::cost_scales`]: `transfers·den(ε) +
+//! computes·num(ε)` on classic instances, exact integers). Dijkstra over this graph yields the
 //! optimal pebbling cost and, via parent pointers, an optimal trace.
 //!
 //! ## State keys per model
@@ -12,62 +13,25 @@
 //! - **oneshot**: `(red, blue, computed)`, because each node admits one
 //!   compute.
 //!
-//! ## Hot-path layout
-//! The expand loop allocates nothing. All machinery is flat, and the move
-//! generation itself lives in [`Expander`], apart from the search loop:
+//! The search loop itself — arena interning, the goal-directed frontier,
+//! incumbent-bound pruning, the proved-optimal floor exit, budgets and
+//! trace reconstruction — is the shared kernel in [`crate::search`]; the
+//! move rules below live in the classic expander ([`crate::expand`]).
+//! [`crate::api::ExactSolver`] runs the kernel over that expander, seeded
+//! with a greedy portfolio incumbent; [`crate::api::ExactSolver::reference`]
+//! is the unpruned brute-force mode.
 //!
-//! - **Move generator** ([`Expander`]): guards, prunes, and the
-//!   incremental ±delta metadata ([`Meta`]) are defined once; this solver
-//!   plugs an intern-and-relax sink into [`Expander::expand`].
-//! - **Arena interning** ([`StateArena`]): every key lives contiguously in
-//!   one `Vec<u64>`; a linear-probe table of `u32` ids (hashed from arena
-//!   slices) replaces the old `HashMap<Box<[u64]>, u32>`. A hit is a hash
-//!   probe plus one slice compare; a miss appends `key_words` words.
-//! - **Struct-of-arrays bookkeeping** ([`NodeTable`]): `dist`, `parent`,
-//!   `settled` and the incremental metadata are parallel arrays indexed
-//!   by state id.
-//! - **Goal-directed frontier** (`Frontier` in [`crate::arena`], the one
-//!   open list of this solver and [`crate::mpp`]):
-//!   open states are keyed `(f, unsatisfied sinks)` and leave FIFO
-//!   within a key. Any order among equal `f` is valid for Dijkstra/A*;
-//!   fewer-unsat-first drains the last `f` layer toward goals instead of
-//!   oldest-first across it. FIFO keeps the returned trace short: a
-//!   newest-first order follows chains of zero-cost moves (compute,
-//!   delete) before their siblings, and the first goal it settles sits
-//!   at the end of such a detour (hundreds of moves on matmul/base,
-//!   where FIFO returns 41, at the same optimal cost). It is an ordered map
-//!   from key to FIFO bucket (a scaled `f` is an arbitrary `u64`, so no
-//!   array is indexed by it); a pop takes the first bucket's front, so
-//!   a push below the last popped key (A* without the prunes can lower
-//!   `f`) still pops first.
-//! - **Bitset adjacency** ([`Dag::pred_mask`]/[`Dag::succ_mask`]): the
-//!   "all inputs red" gate of a compute and the "has an uncomputed
-//!   successor" prune are word-wise `ANDN` loops over packed mask rows,
-//!   not per-edge iteration.
-//! - **Scratch reuse**: the successor-key buffer, the popped-key buffer,
-//!   and the dead-state reachability words are solver-owned and reused
-//!   across every expansion.
-//!
-//! ## Incumbent-bound pruning
-//! The search carries an *incumbent*: the cheapest known upper bound on
-//! the optimum. It starts from [`ExactConfig::upper_bound`] (callers
-//! seed it with a greedy portfolio cost — [`crate::api::ExactSolver`]
-//! does this automatically) and tightens to the best goal distance discovered
-//! during the search. Any successor with `g + h` strictly above the
-//! seeded bound, or at-or-above the best discovered goal, is dropped
-//! *before* it is interned: since the bound is realized by a concrete
-//! pebbling, at least one optimal path survives (`f ≤ opt ≤ bound` along
-//! it), so the optimum is unchanged while the arena, frontier, and probe
-//! table stay smaller. On positive-cost frontiers (e.g. the base model's
-//! grid cell) this skips the large shell of states strictly beyond the
-//! optimum that plain Dijkstra would intern but never expand.
+//! ## Bitset adjacency
+//! The "all inputs red" gate of a compute and the "has an uncomputed
+//! successor" prune are word-wise `ANDN` loops over packed mask rows
+//! ([`Dag::pred_mask`]/[`Dag::succ_mask`]), not per-edge iteration.
 //!
 //! ## Incremental-delta invariants
-//! Three state functions are threaded through expansion as ±deltas and
-//! cached per state instead of being rescanned (see [`Meta`]):
+//! The kernel caches three state functions per state and the classic
+//! expander updates them by ±deltas instead of rescanning:
 //!
-//! - `red_count`: `+1` on Load/Compute, `−1` on Store/Delete-of-red.
-//! - `unsat_sinks`: the number of sinks violating the finishing
+//! - `red`: `+1` on Load/Compute, `−1` on Store/Delete-of-red.
+//! - `unsat`: the number of sinks violating the finishing
 //!   convention; a state is a goal iff it is 0. Only the moved node's
 //!   pebbles change, so only a sink move can shift it by ±1.
 //! - `heur`: the A* heuristic value (below). A move on `v` changes only
@@ -77,10 +41,6 @@
 //!   status flips are its predecessors, which the compute guard requires
 //!   to be red — red and blue being disjoint, none of them is counted
 //!   before or after.
-//!
-//! Each value is a pure function of the state key, so it is stored once
-//! at intern time regardless of which path reaches the state first, and
-//! debug builds assert every delta against a full rescan.
 //!
 //! ## Optimality-preserving pruning (`prune = true`)
 //! All prunes below keep at least one optimal pebbling intact; the
@@ -107,24 +67,13 @@
 //! at least once more (recomputation being forbidden), contributing 1
 //! transfer each.
 
-use crate::api::{Progress, SolveCtx};
-use crate::arena::{Frontier, NodeTable, StateArena, NO_STATE};
 use crate::error::SolveError;
-use crate::expand::{Expander, Meta};
-use rbp_core::{bounds, Cost, Instance, Pebbling};
-use std::time::Instant;
 
 #[cfg(doc)]
-use rbp_graph::Dag;
+use {rbp_core::Instance, rbp_graph::Dag};
 
-/// Budget polls happen every this many expansions (amortizes the
-/// `Instant::now()` call off the per-state hot path).
-const BUDGET_POLL_INTERVAL: usize = 256;
-
-/// Progress reports fire every this many expansions.
-const PROGRESS_INTERVAL: usize = 8192;
-
-/// Configuration for [`solve_exact_with`].
+/// Search knobs of the exact solvers ([`crate::api::ExactSolver`],
+/// [`crate::mpp::ExactMppSolver`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ExactConfig {
     /// Abort with [`SolveError::StateLimitExceeded`] after interning this
@@ -170,9 +119,8 @@ impl ExactConfig {
     /// states with `f == bound` must survive because the bound may be
     /// exactly optimal — and `u64::MAX` (no cutoff) when no bound is set
     /// or pruning is off (the brute-force reference mode must stay
-    /// exhaustive). The classic and MPP searches derive their cutoff from
-    /// this one definition so an exactly-tight seed prunes identically in
-    /// each.
+    /// exhaustive). The search kernel ([`crate::search`]) starts from it
+    /// for both expanders.
     #[inline]
     pub fn seed_cutoff(&self) -> u64 {
         match self.upper_bound {
@@ -182,329 +130,32 @@ impl ExactConfig {
     }
 }
 
-/// Result of an exact solve.
-#[derive(Clone, Debug)]
-pub struct ExactReport {
-    /// Exact optimal cost.
-    pub cost: Cost,
-    /// An optimal pebbling realizing that cost.
-    pub trace: Pebbling,
-    /// Number of states popped from the queue.
-    pub states_expanded: usize,
-    /// Number of distinct states interned.
-    pub states_seen: usize,
-}
-
-/// Solves the instance exactly with default configuration.
-///
-/// # Example
-/// ```
-/// use rbp_core::{CostModel, Instance};
-/// use rbp_graph::generate;
-/// use rbp_solvers::exact::solve_exact;
-///
-/// // a dependency chain fits in 2 red pebbles at zero I/O cost
-/// let inst = Instance::new(generate::chain(8), 2, CostModel::oneshot());
-/// let opt = solve_exact(&inst).unwrap();
-/// assert_eq!(opt.cost.transfers, 0);
-/// // the trace is a concrete, replayable schedule
-/// assert!(rbp_core::simulate(&inst, &opt.trace).is_ok());
-/// ```
-pub fn solve_exact(instance: &Instance) -> Result<ExactReport, SolveError> {
-    solve_exact_with(instance, ExactConfig::default())
-}
-
-/// Brute-force reference: no pruning, no heuristic, no incumbent.
-/// Exponentially slower; only for cross-validating [`solve_exact`] on
-/// tiny instances.
-pub fn solve_reference(instance: &Instance) -> Result<ExactReport, SolveError> {
-    solve_exact_with(
-        instance,
-        ExactConfig {
-            max_states: 4_000_000,
-            prune: false,
-            astar: false,
-            upper_bound: None,
-        },
-    )
-}
-
-/// Solves the instance exactly with the given configuration.
-pub fn solve_exact_with(instance: &Instance, cfg: ExactConfig) -> Result<ExactReport, SolveError> {
-    // an unlimited context can never interrupt, so the outcome is
-    // always optimal (or a hard error)
-    solve_exact_budgeted(instance, cfg, &SolveCtx::default()).map(|(report, _)| report)
-}
-
-/// Budget-aware entry point used by the [`crate::api`] layer. Returns
-/// the report plus whether it is proved optimal: `true` when the search
-/// settled a goal, `false` when the budget expired and the report holds
-/// the best goal *discovered* so far (a valid upper bound). Expiring
-/// before any goal was discovered is [`SolveError::Interrupted`] — the
-/// api layer degrades to its greedy seed there.
-pub(crate) fn solve_exact_budgeted(
-    instance: &Instance,
-    cfg: ExactConfig,
-    ctx: &SolveCtx,
-) -> Result<(ExactReport, bool), SolveError> {
-    cfg.validate()?;
-    bounds::check_feasible(instance)?;
-    Search::new(instance, cfg).run(ctx)
-}
-
-// ---------------------------------------------------------------------
-// implementation
-// ---------------------------------------------------------------------
-
-struct Search<'a> {
-    cfg: ExactConfig,
-    exp: Expander<'a>,
-    /// Debug-only second expander: rescans successor metadata to check
-    /// the ±deltas while `exp` is mutably borrowed by the expansion.
-    #[cfg(debug_assertions)]
-    check: Expander<'a>,
-    // flat state storage
-    arena: StateArena,
-    nodes: NodeTable,
-    frontier: Frontier,
-    /// Prune cutoff: successors with `g + h ≥ cutoff` are dropped. This
-    /// is `min(seeded upper bound + 1, best goal distance seen)` — both
-    /// components are upper bounds realized by concrete pebblings (the
-    /// seed externally, the goal by its own parent chain), so at least
-    /// one optimal path always stays strictly below it.
-    cutoff: u64,
-    /// The structural floor ([`bounds::best_lower_bound`], scaled): a
-    /// *discovered* goal at this distance is already provably optimal,
-    /// so the search may return it without draining the frontier to settle
-    /// it. Only consulted under `prune`; the brute-force reference runs
-    /// to settlement.
-    floor: u128,
-    /// `(dist, id)` of the cheapest goal *discovered* (relaxed, not yet
-    /// necessarily settled). This is what a budget-expired solve returns
-    /// as its incumbent.
-    best_goal: (u64, u32),
-}
-
-impl<'a> Search<'a> {
-    fn new(instance: &'a Instance, cfg: ExactConfig) -> Self {
-        let exp = Expander::new(instance, cfg.prune, cfg.astar);
-        let cutoff = cfg.seed_cutoff();
-        let key_words = exp.key_words();
-        Search {
-            cfg,
-            exp,
-            #[cfg(debug_assertions)]
-            check: Expander::new(instance, cfg.prune, cfg.astar),
-            arena: StateArena::new(key_words),
-            nodes: NodeTable::new(),
-            frontier: Frontier::new(),
-            cutoff,
-            floor: instance.scaled_cost(&bounds::best_lower_bound(instance)),
-            best_goal: (u64::MAX, NO_STATE),
-        }
-    }
-
-    fn run(mut self, ctx: &SolveCtx) -> Result<(ExactReport, bool), SolveError> {
-        let t0 = Instant::now();
-        let budget_live = !ctx.budget.is_unlimited();
-        // an already-exhausted budget (pre-set cancel flag, elapsed
-        // deadline) stops before any work; in-loop polls then only fire
-        // every BUDGET_POLL_INTERVAL real expansions
-        if budget_live && ctx.budget.exhausted(0) {
-            return self.interrupted(0);
-        }
-        let init = self.exp.initial_key();
-        let (root, fresh) = self.arena.intern(&init);
-        debug_assert!(fresh);
-        let root_meta = self.exp.meta_scan(&init);
-        self.nodes
-            .push(root_meta.red, root_meta.unsat, root_meta.heur);
-        self.nodes.dist[root as usize] = 0;
-        self.frontier.push(root_meta.heur, root_meta.unsat, root);
-
-        let mut expanded = 0usize;
-        let mut key_buf: Vec<u64> = Vec::with_capacity(self.exp.key_words());
-        let mut last_f = 0u64;
-        while let Some((f, id)) = self.frontier.pop() {
-            let idx = id as usize;
-            if self.nodes.settled[idx] {
-                continue;
-            }
-            // under `prune` every edge is non-negative and the oneshot
-            // heuristic is consistent (its one `f`-lowering move, deleting
-            // a blue pebble, is pruned), so settled `f` never decreases
-            debug_assert!(
-                !self.cfg.prune || f >= last_f,
-                "popped f fell from {last_f} to {f}: inconsistent heuristic"
-            );
-            last_f = f;
-            self.nodes.settled[idx] = true;
-            key_buf.clear();
-            key_buf.extend_from_slice(self.arena.key(id));
-            let d = self.nodes.dist[idx];
-            let meta = Meta {
-                red: self.nodes.red_count[idx],
-                unsat: self.nodes.unsat_sinks[idx],
-                heur: self.nodes.heur[idx],
-            };
-            expanded += 1;
-            // cooperative budget poll, amortized over a quantum of *real*
-            // expansions (stale pops skip it above, so a streak of
-            // settled duplicates cannot re-fire the deadline check or
-            // deliver duplicate progress snapshots)
-            if budget_live
-                && expanded.is_multiple_of(BUDGET_POLL_INTERVAL)
-                && ctx.budget.exhausted(expanded as u64)
-            {
-                return self.interrupted(expanded);
-            }
-            if expanded.is_multiple_of(PROGRESS_INTERVAL) {
-                if let Some(observer) = ctx.progress {
-                    observer(&self.progress(t0, expanded));
-                }
-            }
-
-            if meta.is_goal() {
-                return Ok((self.report_for(id, expanded), true));
-            }
-            if self.exp.prune() && self.exp.oneshot() && self.exp.is_dead(&key_buf) {
-                continue;
-            }
-
-            // destructure so the expander and the storage borrow disjointly
-            let Search {
-                exp,
-                #[cfg(debug_assertions)]
-                check,
-                arena,
-                nodes,
-                frontier,
-                cutoff,
-                cfg,
-                best_goal,
-                ..
-            } = &mut self;
-            exp.expand(&key_buf, meta, |succ, mv, cost, child| {
-                let nd = d + cost;
-                let f = nd.saturating_add(child.heur);
-                if f >= *cutoff {
-                    return Ok(());
-                }
-                let (cid, fresh) = arena.intern(succ);
-                if fresh {
-                    // the deltas must agree with a full rescan of the key
-                    #[cfg(debug_assertions)]
-                    debug_assert_eq!(child, check.meta_scan(succ));
-                    nodes.push(child.red, child.unsat, child.heur);
-                    if arena.len() > cfg.max_states {
-                        return Err(SolveError::StateLimitExceeded {
-                            limit: cfg.max_states,
-                        });
-                    }
-                }
-                let cidx = cid as usize;
-                if !nodes.settled[cidx] && nd < nodes.dist[cidx] {
-                    nodes.dist[cidx] = nd;
-                    nodes.parent[cidx] = (id, mv);
-                    frontier.push(f, child.unsat, cid);
-                    if child.is_goal() && nd < best_goal.0 {
-                        // remember the cheapest goal discovered: it is
-                        // the incumbent a budget-expired solve returns
-                        *best_goal = (nd, cid);
-                        // and it tightens the prune cutoff immediately:
-                        // nothing at-or-beyond it can improve the answer
-                        if cfg.prune && nd < *cutoff {
-                            *cutoff = nd;
-                        }
-                    }
-                }
-                Ok(())
-            })?;
-            // a discovered goal that meets the structural floor is
-            // already provably optimal: floor ≤ optimum ≤ any realized
-            // goal distance, so equality pins it — return without
-            // draining the frontier to settle it
-            if self.cfg.prune
-                && self.best_goal.1 != NO_STATE
-                && u128::from(self.best_goal.0) <= self.floor
-            {
-                let (_, goal) = self.best_goal;
-                return Ok((self.report_for(goal, expanded), true));
-            }
-        }
-        Err(SolveError::NoPebblingFound)
-    }
-
-    /// The report for a settled-or-discovered goal state.
-    fn report_for(&self, goal: u32, expanded: usize) -> ExactReport {
-        let trace = self.recover_trace(goal);
-        let stats = trace.stats();
-        ExactReport {
-            cost: Cost {
-                transfers: stats.transfers(),
-                computes: stats.computes,
-            },
-            trace,
-            states_expanded: expanded,
-            states_seen: self.arena.len(),
-        }
-    }
-
-    /// Budget expiry: return the best goal discovered so far as a
-    /// (non-optimal) incumbent, or [`SolveError::Interrupted`] when none
-    /// exists yet.
-    fn interrupted(self, expanded: usize) -> Result<(ExactReport, bool), SolveError> {
-        let (g, id) = self.best_goal;
-        if id == NO_STATE {
-            return Err(SolveError::Interrupted);
-        }
-        debug_assert!(g < u64::MAX);
-        Ok((self.report_for(id, expanded), false))
-    }
-
-    fn progress(&self, t0: Instant, expanded: usize) -> Progress {
-        let elapsed = t0.elapsed();
-        let secs = elapsed.as_secs_f64();
-        Progress {
-            elapsed,
-            states_expanded: expanded as u64,
-            states_per_sec: if secs > 0.0 {
-                (expanded as f64 / secs) as u64
-            } else {
-                0
-            },
-            frontier: self.frontier.len(),
-            incumbent: match (self.best_goal.0, self.cfg.upper_bound) {
-                (u64::MAX, ub) => ub,
-                (g, Some(ub)) => Some(g.min(ub)),
-                (g, None) => Some(g),
-            },
-        }
-    }
-
-    /// Walks parent pointers from `goal` to the root. Called exactly once
-    /// per solve; [`ExactReport::cost`] is derived from the same trace.
-    fn recover_trace(&self, goal: u32) -> Pebbling {
-        let mut moves = Vec::new();
-        let mut cur = goal;
-        while self.nodes.parent[cur as usize].0 != NO_STATE {
-            let (prev, mv) = self.nodes.parent[cur as usize];
-            moves.push(mv);
-            cur = prev;
-        }
-        moves.reverse();
-        Pebbling::from_moves(moves)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbp_core::{engine, CostModel, ModelKind, SourceConvention};
+    use crate::api::{ExactSolver, Solution, Solver};
+    use rbp_core::{engine, CostModel, Instance, ModelKind, SourceConvention};
     use rbp_graph::{generate, DagBuilder};
 
+    /// The unseeded search under `cfg`: the kernel's own effort, with no
+    /// greedy incumbent folded into the cutoff.
+    fn solve_with(instance: &Instance, cfg: ExactConfig) -> Result<Solution, SolveError> {
+        ExactSolver::with_config(cfg)
+            .unseeded()
+            .solve_default(instance)
+    }
+
+    fn solve(instance: &Instance) -> Solution {
+        solve_with(instance, ExactConfig::default()).unwrap()
+    }
+
+    fn reference(instance: &Instance) -> Solution {
+        ExactSolver::reference().solve_default(instance).unwrap()
+    }
+
     fn check_optimal(instance: &Instance, expect_scaled: u64) {
-        let rep = solve_exact(instance).unwrap();
+        let rep = solve(instance);
+        assert!(rep.is_optimal());
         // reported trace must be valid and match the reported cost
         let sim = engine::simulate(instance, &rep.trace).unwrap();
         assert_eq!(sim.cost, rep.cost, "trace cost mismatch");
@@ -524,7 +175,10 @@ mod tests {
     #[test]
     fn chain_infeasible_with_one_pebble() {
         let inst = Instance::new(generate::chain(3), 1, CostModel::oneshot());
-        assert!(matches!(solve_exact(&inst), Err(SolveError::Pebbling(_))));
+        assert!(matches!(
+            ExactSolver::new().solve_default(&inst),
+            Err(SolveError::Pebbling(_))
+        ));
     }
 
     #[test]
@@ -595,8 +249,8 @@ mod tests {
                 ] {
                     let inst = Instance::new(dag.clone(), r, CostModel::of_kind(kind))
                         .with_source_convention(sources);
-                    let fast = solve_exact(&inst).unwrap();
-                    let slow = solve_reference(&inst).unwrap();
+                    let fast = solve(&inst);
+                    let slow = reference(&inst);
                     assert_eq!(
                         fast.cost.scaled(inst.model().epsilon()),
                         slow.cost.scaled(inst.model().epsilon()),
@@ -614,7 +268,7 @@ mod tests {
         for _ in 0..5 {
             let dag = generate::layered(3, 3, 2, &mut rng);
             let inst = Instance::new(dag, 3, CostModel::oneshot());
-            let astar = solve_exact_with(
+            let astar = solve_with(
                 &inst,
                 ExactConfig {
                     astar: true,
@@ -622,7 +276,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let dij = solve_exact_with(
+            let dij = solve_with(
                 &inst,
                 ExactConfig {
                     astar: false,
@@ -631,7 +285,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(astar.cost, dij.cost);
-            assert!(astar.states_expanded <= dij.states_expanded + 5);
+            assert!(astar.states_expanded().unwrap() <= dij.states_expanded().unwrap() + 5);
         }
     }
 
@@ -640,7 +294,7 @@ mod tests {
         let mut rng = rand::thread_rng();
         let dag = generate::layered(4, 4, 3, &mut rng);
         let inst = Instance::new(dag, 5, CostModel::oneshot());
-        let res = solve_exact_with(
+        let res = solve_with(
             &inst,
             ExactConfig {
                 max_states: 10,
@@ -666,7 +320,7 @@ mod tests {
         let mut prev = u128::MAX;
         for r in 3..=6 {
             let inst = Instance::new(dag.clone(), r, CostModel::oneshot());
-            let rep = solve_exact(&inst).unwrap();
+            let rep = solve(&inst);
             let c = rep.cost.scaled(inst.model().epsilon());
             assert!(c <= prev, "opt must not increase with more red pebbles");
             prev = c;
@@ -700,8 +354,8 @@ mod tests {
                 let r = dag.max_indegree() + 1;
                 let inst = Instance::new(dag, r, CostModel::of_kind(kind))
                     .with_sink_convention(rbp_core::SinkConvention::RequireBlue);
-                let fast = solve_exact(&inst).unwrap();
-                let slow = solve_reference(&inst).unwrap();
+                let fast = solve(&inst);
+                let slow = reference(&inst);
                 assert_eq!(
                     fast.cost.scaled(inst.model().epsilon()),
                     slow.cost.scaled(inst.model().epsilon()),
@@ -714,16 +368,19 @@ mod tests {
 
     #[test]
     fn report_cost_always_derives_from_trace() {
-        // ExactReport reconstructs the trace once; its cost must equal
-        // the engine's replay of that same trace in every model
+        // the kernel reconstructs the trace once and derives the cost
+        // from it; that cost must equal the engine's replay in every model
         let mut rng = rand::thread_rng();
         for kind in ModelKind::ALL {
             let dag = generate::gnp_dag(6, 0.35, 2, &mut rng);
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-            let rep = solve_exact(&inst).unwrap();
-            let sim = engine::simulate(&inst, &rep.trace).unwrap();
-            assert_eq!(sim.cost, rep.cost, "cost must derive from the trace");
+            let exp = crate::expand::Expander::new(&inst, true, true);
+            let out = crate::search::Search::new(&inst, exp, ExactConfig::default())
+                .run(&crate::api::SolveCtx::default())
+                .unwrap();
+            let sim = engine::simulate(&inst, &out.trace).unwrap();
+            assert_eq!(sim.cost, out.cost, "cost must derive from the trace");
         }
     }
 
@@ -737,10 +394,10 @@ mod tests {
                 let dag = generate::gnp_dag(6, 0.4, 2, &mut rng);
                 let r = dag.max_indegree() + 1;
                 let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-                let plain = solve_exact(&inst).unwrap();
+                let plain = solve(&inst);
                 let opt = plain.cost.scaled(inst.model().epsilon()) as u64;
                 for bound in [opt, opt + 1, opt + 100] {
-                    let seeded = solve_exact_with(
+                    let seeded = solve_with(
                         &inst,
                         ExactConfig {
                             upper_bound: Some(bound),
@@ -753,7 +410,7 @@ mod tests {
                         opt as u128,
                         "incumbent bound {bound} changed the optimum ({kind})"
                     );
-                    assert!(seeded.states_seen <= plain.states_seen);
+                    assert!(seeded.states_seen() <= plain.states_seen());
                     let sim = engine::simulate(&inst, &seeded.trace).unwrap();
                     assert_eq!(sim.cost, seeded.cost);
                 }
@@ -773,9 +430,9 @@ mod tests {
             b.add_edge(2 * parent + 2, parent);
         }
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::base());
-        let plain = solve_exact(&inst).unwrap();
+        let plain = solve(&inst);
         let opt = plain.cost.scaled(inst.model().epsilon()) as u64;
-        let seeded = solve_exact_with(
+        let seeded = solve_with(
             &inst,
             ExactConfig {
                 upper_bound: Some(opt),
@@ -785,10 +442,10 @@ mod tests {
         .unwrap();
         assert_eq!(seeded.cost, plain.cost);
         assert!(
-            seeded.states_seen < plain.states_seen,
-            "tight bound should prune interns ({} vs {})",
-            seeded.states_seen,
-            plain.states_seen
+            seeded.states_seen() < plain.states_seen(),
+            "tight bound should prune interns ({:?} vs {:?})",
+            seeded.states_seen(),
+            plain.states_seen()
         );
     }
 }

@@ -1,67 +1,32 @@
-//! The move generator of the classic exact search.
+//! The classic game's move generator: the `Expand` implementation the
+//! search kernel ([`crate::search`]) runs for `exact` and `reference`.
+//! The multiprocessor game has its own expander in [`crate::mpp`].
 //!
-//! Dijkstra/A* ([`crate::exact`]) explores the configuration graph this
-//! module defines. An [`Expander`] packages everything that is a pure
-//! function of the instance — key layout, move guards, the
-//! optimality-preserving prunes, and the incremental ±delta bookkeeping
-//! ([`Meta`]) — so the subtle per-model rules are written (and tested)
-//! once, apart from the search loop.
-//!
-//! The expander is deliberately storage-agnostic: it does not know about
-//! arenas, frontiers, or distances. [`Expander::expand`] walks the legal
-//! moves of a popped state and hands each successor `(key, move, edge
-//! cost, meta)` to a caller-supplied sink, which interns/relaxes it in
-//! the solver's [`crate::arena::StateArena`].
+//! An `Expander` packages everything about the classic configuration
+//! graph that is a pure function of the instance — key layout, move
+//! guards, the optimality-preserving prunes, the A* heuristic, and the
+//! incremental ±delta bookkeeping (`Meta`) — so the subtle per-model
+//! rules are written (and tested) once, apart from the search loop.
+//! Every move it emits runs on processor 0.
 //!
 //! See the [`crate::exact`] module docs for the semantics of the state
 //! encoding, the prune rules, and the A* heuristic; the documentation
 //! there is normative for the code here.
 
 use crate::error::SolveError;
+use crate::search::{Expand, Meta};
 use rbp_core::{Instance, ModelKind, Move, SourceConvention};
 use rbp_graph::bitset::{bit_clear, bit_get, bit_set};
 use rbp_graph::NodeId;
 
-/// The incrementally maintained metadata of one state: carried from a
-/// popped state to each successor as ±deltas instead of being rescanned.
-///
-/// Each field is a pure function of the state key, so it is stored once
-/// at intern time regardless of which path reaches the state first;
-/// debug builds assert every delta against a full rescan
-/// ([`Expander::meta_scan`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Meta {
-    /// Number of red pebbles in the state.
-    pub red: u32,
-    /// Number of sinks violating the finishing convention; the state is a
-    /// goal iff this is 0.
-    pub unsat: u32,
-    /// The admissible A* heuristic value in scaled units (0 when A* is
-    /// off or the model is not oneshot).
-    pub heur: u64,
-}
-
-impl Meta {
-    /// Whether the state satisfies the finishing convention.
-    #[inline]
-    pub fn is_goal(self) -> bool {
-        self.unsat == 0
-    }
-
-    /// Applies a signed delta to the unsatisfied-sink count.
-    #[inline]
-    fn bump_unsat(self, delta: i32) -> u32 {
-        (self.unsat as i32 + delta) as u32
-    }
-}
-
-/// The per-instance move generator shared by the exact solvers.
+/// The classic per-instance move generator.
 ///
 /// Construction precomputes the key layout and per-node static tables;
 /// the struct also owns the scratch buffers of the expansion hot path, so
-/// each solver thread needs its own `Expander` (they are cheap: a few
-/// `Vec`s sized by the instance, not by the search).
-pub struct Expander<'a> {
+/// each search needs its own `Expander` (they are cheap: a few `Vec`s
+/// sized by the instance, not by the search).
+#[derive(Clone)]
+pub(crate) struct Expander<'a> {
     instance: &'a Instance,
     n: usize,
     wpn: usize,       // words per node-set
@@ -75,8 +40,11 @@ pub struct Expander<'a> {
     prune: bool,
     /// Whether sinks must end blue ([`rbp_core::SinkConvention`]).
     need_blue: bool,
-    eps_num: u64,
-    eps_den: u64,
+    /// Scaled edge weight of a transfer (also the heuristic's unit: one
+    /// load) and of a compute: the instance's own objective
+    /// ([`Instance::cost_scales`]), ε-scaled on classic instances.
+    comm: u64,
+    comp: u64,
     // reusable scratch (no per-expansion allocation)
     scratch: Vec<u64>,
     /// Dead-state reachability words (`avail` bit per node), reused.
@@ -91,19 +59,14 @@ impl<'a> Expander<'a> {
     /// Builds the move generator for `instance`. `prune` enables the
     /// optimality-preserving prunes; `astar` requests the admissible
     /// oneshot heuristic (ignored for other models).
-    pub fn new(instance: &'a Instance, prune: bool, astar: bool) -> Self {
+    pub(crate) fn new(instance: &'a Instance, prune: bool, astar: bool) -> Self {
         let n = instance.dag().n();
         let wpn = rbp_graph::words_for(n);
         debug_assert_eq!(wpn, instance.dag().mask_words());
         let oneshot = instance.model().kind() == ModelKind::Oneshot;
         let track_computed = oneshot;
         let key_words = if track_computed { 3 * wpn } else { 2 * wpn };
-        let eps = instance.model().epsilon();
-        let (eps_num, eps_den) = if eps.is_zero() {
-            (0, 1)
-        } else {
-            (eps.num(), eps.den())
-        };
+        let (comm, comp) = instance.cost_scales();
         let sinks: Vec<bool> = instance
             .dag()
             .nodes()
@@ -125,33 +88,14 @@ impl<'a> Expander<'a> {
             astar: astar && oneshot,
             prune,
             need_blue: instance.sink_convention() == rbp_core::SinkConvention::RequireBlue,
-            eps_num,
-            eps_den,
+            comm,
+            comp,
             scratch: vec![0; key_words],
             avail: vec![0; wpn],
             sinks,
             sink_ids,
             topo: rbp_graph::topological_order(instance.dag()),
         }
-    }
-
-    /// Width of every state key, in `u64` words.
-    #[inline]
-    pub fn key_words(&self) -> usize {
-        self.key_words
-    }
-
-    /// Whether the model is oneshot (computed set tracked, dead-state
-    /// prune applicable).
-    #[inline]
-    pub fn oneshot(&self) -> bool {
-        self.oneshot
-    }
-
-    /// Whether the optimality-preserving prunes are enabled.
-    #[inline]
-    pub fn prune(&self) -> bool {
-        self.prune
     }
 
     #[inline]
@@ -176,22 +120,6 @@ impl<'a> Expander<'a> {
         }
     }
 
-    /// The initial configuration key under the instance's source
-    /// convention.
-    pub fn initial_key(&self) -> Vec<u64> {
-        let mut key = vec![0u64; self.key_words];
-        if self.instance.source_convention() == SourceConvention::InitiallyBlue {
-            for v in self.instance.dag().sources() {
-                bit_set(&mut key[self.wpn..2 * self.wpn], v.index());
-                if self.track_computed {
-                    let w = self.wpn;
-                    bit_set(&mut key[2 * w..], v.index());
-                }
-            }
-        }
-        key
-    }
-
     /// Whether `v` still has a successor that is uncomputed, as one
     /// `ANDN` loop over the packed successor mask (oneshot only; callers
     /// guard on `self.oneshot`, which implies the computed set is
@@ -204,160 +132,6 @@ impl<'a> Expander<'a> {
         mask.iter().zip(computed).any(|(m, c)| m & !c != 0)
     }
 
-    /// Full rescan of all three metadata fields; root initialization and
-    /// debug asserts only — the hot path maintains them by deltas.
-    pub fn meta_scan(&self, key: &[u64]) -> Meta {
-        let red = key[..self.wpn].iter().map(|w| w.count_ones()).sum::<u32>();
-        let unsat = self
-            .sink_ids
-            .iter()
-            .filter(|&&s| {
-                let v = s as usize;
-                if self.need_blue {
-                    !self.is_blue(key, v)
-                } else {
-                    !self.is_red(key, v) && !self.is_blue(key, v)
-                }
-            })
-            .count() as u32;
-        let mut heur = 0u64;
-        if self.astar {
-            for v in 0..self.n {
-                if self.is_blue(key, v) && self.has_uncomputed_successor(key, v) {
-                    heur += self.eps_den;
-                }
-            }
-        }
-        Meta { red, unsat, heur }
-    }
-
-    /// Oneshot dead-state check: is any sink permanently unreachable?
-    /// Reuses `self.avail` (one reachability bit per node) instead of
-    /// allocating, and gates each node on its packed pred mask. Callers
-    /// gate on [`Expander::oneshot`] and [`Expander::prune`].
-    pub fn is_dead(&mut self, key: &[u64]) -> bool {
-        debug_assert!(self.oneshot);
-        let dag = self.instance.dag();
-        self.avail.iter_mut().for_each(|w| *w = 0);
-        // avail[v]: v's value can (still) be made red at some point
-        for &v in &self.topo {
-            let i = v.index();
-            let ok = if self.is_computed(key, i) {
-                self.is_red(key, i) || self.is_blue(key, i)
-            } else {
-                dag.pred_mask(v)
-                    .iter()
-                    .zip(self.avail.iter())
-                    .all(|(p, a)| p & !a == 0)
-            };
-            if ok {
-                bit_set(&mut self.avail, i);
-            }
-        }
-        self.sink_ids.iter().any(|&s| {
-            let v = s as usize;
-            if self.is_computed(key, v) {
-                !self.is_red(key, v) && !self.is_blue(key, v)
-            } else {
-                !bit_get(&self.avail, v)
-            }
-        })
-    }
-
-    /// Generates every (pruned-)legal successor of `(key, meta)` and
-    /// hands each one to `emit` as `(successor key, move, scaled edge
-    /// cost, successor meta)`. The successor key slice borrows the
-    /// expander's scratch buffer: sinks must copy (or intern) it before
-    /// returning.
-    ///
-    /// Errors from `emit` (e.g. a state budget trip) abort the expansion
-    /// and propagate.
-    pub fn expand<F>(&mut self, key: &[u64], meta: Meta, mut emit: F) -> Result<(), SolveError>
-    where
-        F: FnMut(&[u64], Move, u64, Meta) -> Result<(), SolveError>,
-    {
-        let model = self.instance.model();
-        let r_limit = self.instance.red_limit();
-        let prune = self.prune;
-
-        for v in 0..self.n {
-            let node = NodeId::new(v);
-            let red = self.is_red(key, v);
-            let blue = self.is_blue(key, v);
-            let is_sink = self.sinks[v];
-            if red {
-                let unc = self.oneshot && self.has_uncomputed_successor(key, v);
-                // Store(v): red -> blue
-                let useful = !prune || !self.oneshot || is_sink || unc;
-                if useful {
-                    self.scratch.copy_from_slice(key);
-                    bit_clear(&mut self.scratch[..self.wpn], v);
-                    bit_set(&mut self.scratch[self.wpn..2 * self.wpn], v);
-                    let child = Meta {
-                        red: meta.red - 1,
-                        // a red sink only counts as satisfied under
-                        // AnyPebble; turning it blue satisfies RequireBlue
-                        unsat: meta.bump_unsat(if is_sink && self.need_blue { -1 } else { 0 }),
-                        // v is now blue; if it still has an uncomputed
-                        // successor it joins the heuristic count
-                        heur: meta.heur + if self.astar && unc { self.eps_den } else { 0 },
-                    };
-                    emit(&self.scratch, Move::Store(node), self.eps_den, child)?;
-                }
-                // Delete(v) of a red pebble
-                if model.allows_delete() {
-                    let dead = self.oneshot && (is_sink || unc);
-                    if !(prune && dead) {
-                        self.scratch.copy_from_slice(key);
-                        bit_clear(&mut self.scratch[..self.wpn], v);
-                        let child = Meta {
-                            red: meta.red - 1,
-                            unsat: meta.bump_unsat(if is_sink && !self.need_blue { 1 } else { 0 }),
-                            heur: meta.heur, // blue set unchanged
-                        };
-                        emit(&self.scratch, Move::Delete(node), 0, child)?;
-                    }
-                }
-            } else if blue {
-                let unc = self.oneshot && self.has_uncomputed_successor(key, v);
-                // Load(v): blue -> red
-                if (meta.red as usize) < r_limit {
-                    let useful = !prune || !self.oneshot || unc;
-                    if useful {
-                        self.scratch.copy_from_slice(key);
-                        bit_clear(&mut self.scratch[self.wpn..2 * self.wpn], v);
-                        bit_set(&mut self.scratch[..self.wpn], v);
-                        let child = Meta {
-                            red: meta.red + 1,
-                            // a blue sink was satisfied either way; as red
-                            // it fails RequireBlue
-                            unsat: meta.bump_unsat(if is_sink && self.need_blue { 1 } else { 0 }),
-                            heur: meta.heur - if self.astar && unc { self.eps_den } else { 0 },
-                        };
-                        emit(&self.scratch, Move::Load(node), self.eps_den, child)?;
-                    }
-                }
-                // Delete of a blue pebble: dominated (prune rule 1)
-                if model.allows_delete() && !prune {
-                    self.scratch.copy_from_slice(key);
-                    bit_clear(&mut self.scratch[self.wpn..2 * self.wpn], v);
-                    let child = Meta {
-                        red: meta.red,
-                        unsat: meta.bump_unsat(if is_sink { 1 } else { 0 }),
-                        heur: meta.heur - if self.astar && unc { self.eps_den } else { 0 },
-                    };
-                    emit(&self.scratch, Move::Delete(node), 0, child)?;
-                }
-                // Compute onto blue (nodel recomputation; legal in base too)
-                self.try_compute(key, v, meta, &mut emit)?;
-            } else {
-                // Compute onto an empty node
-                self.try_compute(key, v, meta, &mut emit)?;
-            }
-        }
-        Ok(())
-    }
-
     fn try_compute<F>(
         &mut self,
         key: &[u64],
@@ -366,7 +140,7 @@ impl<'a> Expander<'a> {
         emit: &mut F,
     ) -> Result<(), SolveError>
     where
-        F: FnMut(&[u64], Move, u64, Meta) -> Result<(), SolveError>,
+        F: FnMut(&[u64], Move, u16, u64, Meta) -> Result<(), SolveError>,
     {
         let node = NodeId::new(v);
         let model = self.instance.model();
@@ -419,7 +193,182 @@ impl<'a> Expander<'a> {
             unsat: meta.bump_unsat(d_unsat),
             heur: meta.heur,
         };
-        emit(&self.scratch, Move::Compute(node), self.eps_num, child)
+        emit(&self.scratch, Move::Compute(node), 0, self.comp, child)
+    }
+}
+
+impl Expand for Expander<'_> {
+    #[inline]
+    fn key_words(&self) -> usize {
+        self.key_words
+    }
+
+    /// The initial configuration key under the instance's source
+    /// convention.
+    fn initial_key(&self) -> Vec<u64> {
+        let mut key = vec![0u64; self.key_words];
+        if self.instance.source_convention() == SourceConvention::InitiallyBlue {
+            for v in self.instance.dag().sources() {
+                bit_set(&mut key[self.wpn..2 * self.wpn], v.index());
+                if self.track_computed {
+                    let w = self.wpn;
+                    bit_set(&mut key[2 * w..], v.index());
+                }
+            }
+        }
+        key
+    }
+
+    fn meta_scan(&self, key: &[u64]) -> Meta {
+        let red = key[..self.wpn].iter().map(|w| w.count_ones()).sum::<u32>();
+        let unsat = self
+            .sink_ids
+            .iter()
+            .filter(|&&s| {
+                let v = s as usize;
+                if self.need_blue {
+                    !self.is_blue(key, v)
+                } else {
+                    !self.is_red(key, v) && !self.is_blue(key, v)
+                }
+            })
+            .count() as u32;
+        let mut heur = 0u64;
+        if self.astar {
+            for v in 0..self.n {
+                if self.is_blue(key, v) && self.has_uncomputed_successor(key, v) {
+                    heur += self.comm;
+                }
+            }
+        }
+        Meta { red, unsat, heur }
+    }
+
+    /// Oneshot dead-state check (prune rule 4): is any sink permanently
+    /// unreachable? Reuses `self.avail` (one reachability bit per node)
+    /// instead of allocating, and gates each node on its packed pred
+    /// mask.
+    fn is_dead(&mut self, key: &[u64]) -> bool {
+        if !(self.prune && self.oneshot) {
+            return false;
+        }
+        let dag = self.instance.dag();
+        self.avail.iter_mut().for_each(|w| *w = 0);
+        // avail[v]: v's value can (still) be made red at some point
+        for &v in &self.topo {
+            let i = v.index();
+            let ok = if self.is_computed(key, i) {
+                self.is_red(key, i) || self.is_blue(key, i)
+            } else {
+                dag.pred_mask(v)
+                    .iter()
+                    .zip(self.avail.iter())
+                    .all(|(p, a)| p & !a == 0)
+            };
+            if ok {
+                bit_set(&mut self.avail, i);
+            }
+        }
+        self.sink_ids.iter().any(|&s| {
+            let v = s as usize;
+            if self.is_computed(key, v) {
+                !self.is_red(key, v) && !self.is_blue(key, v)
+            } else {
+                !bit_get(&self.avail, v)
+            }
+        })
+    }
+
+    fn expand<F>(&mut self, key: &[u64], meta: Meta, mut emit: F) -> Result<(), SolveError>
+    where
+        F: FnMut(&[u64], Move, u16, u64, Meta) -> Result<(), SolveError>,
+    {
+        let model = self.instance.model();
+        let r_limit = self.instance.red_limit();
+        let prune = self.prune;
+
+        for v in 0..self.n {
+            let node = NodeId::new(v);
+            let red = self.is_red(key, v);
+            let blue = self.is_blue(key, v);
+            let is_sink = self.sinks[v];
+            if red {
+                let unc = self.oneshot && self.has_uncomputed_successor(key, v);
+                // Store(v): red -> blue
+                let useful = !prune || !self.oneshot || is_sink || unc;
+                if useful {
+                    self.scratch.copy_from_slice(key);
+                    bit_clear(&mut self.scratch[..self.wpn], v);
+                    bit_set(&mut self.scratch[self.wpn..2 * self.wpn], v);
+                    let child = Meta {
+                        red: meta.red - 1,
+                        // a red sink only counts as satisfied under
+                        // AnyPebble; turning it blue satisfies RequireBlue
+                        unsat: meta.bump_unsat(if is_sink && self.need_blue { -1 } else { 0 }),
+                        // v is now blue; if it still has an uncomputed
+                        // successor it joins the heuristic count
+                        heur: meta.heur + if self.astar && unc { self.comm } else { 0 },
+                    };
+                    emit(&self.scratch, Move::Store(node), 0, self.comm, child)?;
+                }
+                // Delete(v) of a red pebble
+                if model.allows_delete() {
+                    let dead = self.oneshot && (is_sink || unc);
+                    if !(prune && dead) {
+                        self.scratch.copy_from_slice(key);
+                        bit_clear(&mut self.scratch[..self.wpn], v);
+                        let child = Meta {
+                            red: meta.red - 1,
+                            unsat: meta.bump_unsat(if is_sink && !self.need_blue { 1 } else { 0 }),
+                            heur: meta.heur, // blue set unchanged
+                        };
+                        emit(&self.scratch, Move::Delete(node), 0, 0, child)?;
+                    }
+                }
+            } else if blue {
+                let unc = self.oneshot && self.has_uncomputed_successor(key, v);
+                // Load(v): blue -> red
+                if (meta.red as usize) < r_limit {
+                    let useful = !prune || !self.oneshot || unc;
+                    if useful {
+                        self.scratch.copy_from_slice(key);
+                        bit_clear(&mut self.scratch[self.wpn..2 * self.wpn], v);
+                        bit_set(&mut self.scratch[..self.wpn], v);
+                        let child = Meta {
+                            red: meta.red + 1,
+                            // a blue sink was satisfied either way; as red
+                            // it fails RequireBlue
+                            unsat: meta.bump_unsat(if is_sink && self.need_blue { 1 } else { 0 }),
+                            heur: meta.heur - if self.astar && unc { self.comm } else { 0 },
+                        };
+                        emit(&self.scratch, Move::Load(node), 0, self.comm, child)?;
+                    }
+                }
+                // Delete of a blue pebble: dominated (prune rule 1)
+                if model.allows_delete() && !prune {
+                    self.scratch.copy_from_slice(key);
+                    bit_clear(&mut self.scratch[self.wpn..2 * self.wpn], v);
+                    let child = Meta {
+                        red: meta.red,
+                        unsat: meta.bump_unsat(if is_sink { 1 } else { 0 }),
+                        heur: meta.heur - if self.astar && unc { self.comm } else { 0 },
+                    };
+                    emit(&self.scratch, Move::Delete(node), 0, 0, child)?;
+                }
+                // Compute onto blue (nodel recomputation; legal in base too)
+                self.try_compute(key, v, meta, &mut emit)?;
+            } else {
+                // Compute onto an empty node
+                self.try_compute(key, v, meta, &mut emit)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A multiprocessor instance also has schedules that use more than
+    /// one processor; the classic space holds only single-processor ones.
+    fn covers_instance(&self) -> bool {
+        self.instance.procs() <= 1
     }
 }
 
@@ -442,7 +391,7 @@ mod tests {
             for _ in 0..2 {
                 let mut next = Vec::new();
                 for (key, meta) in frontier {
-                    exp.expand(&key, meta, |succ, _mv, _cost, child| {
+                    exp.expand(&key, meta, |succ, _mv, _proc, _cost, child| {
                         next.push((succ.to_vec(), child));
                         Ok(())
                     })

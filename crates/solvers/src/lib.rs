@@ -34,23 +34,28 @@
 //! [`api::Solution`] carries the engine-validated trace, its exact
 //! cost, a [`api::Quality`] provenance tag (`Optimal` /
 //! `UpperBound { lower_bound }` / `Infeasible`), and structured
-//! [`api::Stats`] — one shape replacing the old per-solver
-//! `ExactReport`/`GreedyReport`/`OrderResult` zoo (those remain as the
-//! internal carrier types). Solutions serialize over the wire through
+//! [`api::Stats`] — one shape for every solver. Both exact solvers
+//! return it straight from the shared search kernel ([`search`]); the
+//! greedy and visit-order solvers still build theirs from their own
+//! `GreedyReport`/`OrderResult`. Solutions serialize over the wire through
 //! [`wire`], the solution half of the versioned instance/solution text
 //! format the `rbp-service` batch server speaks.
 //!
 //! ## Solver families
 //!
-//! - [`exact`]: optimal pebbling via Dijkstra/A* over configurations,
-//!   with per-model optimality-preserving pruning, incumbent-bound
-//!   pruning, and an unpruned reference mode for cross-validation;
-//! - [`expand`]: the move generator both exact solvers share;
+//! - [`search`]: the one best-first search kernel both exact solvers
+//!   run — state arena, goal-directed frontier, incumbent-bound
+//!   pruning, the proved-optimal floor exit, budgets, progress, and
+//!   trace reconstruction — generic over a move generator;
+//! - [`exact`]: optimal pebbling via Dijkstra/A* over classic
+//!   configurations, with per-model optimality-preserving pruning and an
+//!   unpruned reference mode for cross-validation;
+//! - [`expand`]: the classic move generator the kernel runs for `exact`;
 //! - [`greedy`]: the three natural greedy rules of Section 8 with
 //!   pluggable eviction policies;
-//! - [`mpp`]: multiprocessor pebbling — exact Dijkstra over the
-//!   product state space of `p` private memories plus a greedy list
-//!   scheduler (`exact@mpp[:P]` / `greedy@mpp[:P]`);
+//! - [`mpp`]: multiprocessor pebbling — the kernel over the product
+//!   state space of `p` private memories plus a greedy list scheduler
+//!   (`exact@mpp[:P]` / `greedy@mpp[:P]`);
 //! - [`beam`]: beam search over first-computation orderings;
 //! - [`portfolio`]: parallel best-of-greedy (also the incumbent seed);
 //! - [`coarse`]: hierarchical scale-out — partition the DAG into K
@@ -81,6 +86,7 @@ pub mod mpp;
 pub mod pool;
 pub mod portfolio;
 pub mod registry;
+pub mod search;
 pub mod sweep;
 pub mod visit;
 pub mod wire;
@@ -89,17 +95,13 @@ pub use api::{
     panic_payload_to_string, BeamSolver, Budget, ExactSolver, GreedySolver, PortfolioSolver,
     Progress, Quality, Solution, SolveCtx, Solver, Stats,
 };
-pub use arena::{NodeTable, StateArena, NO_STATE};
+pub use arena::{StateArena, NO_STATE};
 pub use beam::BeamConfig;
 pub use coarse::{CoarseConfig, CoarseSolver};
 pub use error::SolveError;
-pub use exact::{ExactConfig, ExactReport};
-pub use expand::{Expander, Meta};
+pub use exact::ExactConfig;
 pub use greedy::{EvictionPolicy, GreedyConfig, GreedyReport, SelectionRule};
-pub use mpp::{
-    solve_exact_mpp, solve_greedy_mpp, ExactMppSolver, GreedyMppSolver, MppExactReport,
-    MppGreedyReport,
-};
+pub use mpp::{solve_greedy_mpp, ExactMppSolver, GreedyMppSolver};
 pub use portfolio::default_portfolio;
 pub use registry::Registry;
 pub use sweep::{check_tradeoff_laws, sweep_r, sweep_r_with, SweepPoint};

@@ -6,17 +6,21 @@
 //! of `p` per-processor red sets, the shared blue set, and (oneshot)
 //! the global computed set. This module searches that product space:
 //!
-//! - [`solve_exact_mpp`]: plain Dijkstra — the A* heuristic and most
-//!   oneshot prunes of the classic solver do not transfer soundly to
-//!   per-processor ownership, so only the dominance prune "never delete
-//!   a blue pebble" is kept (deleting shared blue frees no private
-//!   capacity, so the smaller-blue state is dominated at equal cost).
-//!   Edge weights are the instance's exact weight scales
-//!   ([`Instance::cost_scales`]), so the optimum is the additive
-//!   objective `transfers·comm + computes·comp` — the makespan is a
-//!   reported statistic, never the search objective. The open list is
-//!   the goal-directed `(g, unsatisfied sinks)` frontier shared with
-//!   the classic solver (see "Hot-path layout" in [`crate::exact`]).
+//! - [`ExactMppSolver`]: the shared search kernel ([`crate::search`])
+//!   over the multiprocessor expander (`MppExpander`) — plain Dijkstra:
+//!   the A* heuristic and most oneshot prunes of the classic solver do
+//!   not transfer soundly to per-processor ownership, so only the
+//!   dominance prune "never delete a blue pebble" is kept (deleting
+//!   shared blue frees no private capacity, so the smaller-blue state is
+//!   dominated at equal cost). Edge weights are the instance's exact
+//!   weight scales ([`Instance::cost_scales`]), so the optimum is the
+//!   additive objective `transfers·comm + computes·comp` — the makespan
+//!   is a reported statistic, never the search objective. Everything
+//!   else is the kernel's, shared with the classic solver: the
+//!   goal-directed `(g, unsatisfied sinks)` frontier, the greedy-seeded
+//!   incumbent cutoff, the proved-optimal exit at the structural floor
+//!   ([`bounds::best_lower_bound`]), budget degradation, and
+//!   [`crate::api::Progress`] reports.
 //! - [`solve_greedy_mpp`]: a topological list scheduler. Each
 //!   non-source node is assigned to the processor holding most of its
 //!   inputs red (ties: least accumulated weighted work, then lowest
@@ -32,286 +36,228 @@
 //! the state spaces are isomorphic — which the verify harness and the
 //! perf snapshot pin continuously.
 
-use crate::api::{upper_bound_quality, Quality, Solution, SolveCtx, Solver, Stats};
-use crate::arena::{Frontier, StateArena, NO_STATE};
+use crate::api::{upper_bound_quality, Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
 use crate::exact::ExactConfig;
+use crate::search::{solve_seeded, Expand, Meta, Seed};
 use rbp_core::{bounds, engine, mpp, Cost, Instance, ModelKind, Move, Pebbling, SourceConvention};
 use rbp_graph::bitset::{bit_clear, bit_get, bit_set};
 use rbp_graph::NodeId;
 use std::cmp::Reverse;
 
-/// Budget polls happen every this many expansions (mirrors
-/// `crate::exact`).
-const BUDGET_POLL_INTERVAL: usize = 256;
-
-/// Result of an exact multiprocessor solve.
-#[derive(Clone, Debug)]
-pub struct MppExactReport {
-    /// Exact optimal cost (additive objective).
-    pub cost: Cost,
-    /// A processor-tagged optimal pebbling realizing that cost.
-    pub trace: Pebbling,
-    /// Number of states popped from the queue.
-    pub states_expanded: usize,
-    /// Number of distinct states interned.
-    pub states_seen: usize,
+/// The multiprocessor move generator: the [`Expand`] implementation the
+/// search kernel runs for `exact@mpp`.
+///
+/// Key layout: `p` red planes, then the shared blue set, then (oneshot)
+/// the global computed set, `wpn` words each. Every move is emitted once
+/// per processor that can make it, tagged with that processor; edge
+/// weights are the instance's exact weight scales. There is no
+/// heuristic (`heur` is always 0), and the only prune is "never delete a
+/// blue pebble".
+#[derive(Clone)]
+pub(crate) struct MppExpander<'a> {
+    instance: &'a Instance,
+    n: usize,
+    p: usize,
+    wpn: usize,
+    /// Start of the blue plane: the red planes come first, the computed
+    /// plane (oneshot) last.
+    blue_off: usize,
+    oneshot: bool,
+    prune: bool,
+    initially_blue: bool,
+    /// Whether sinks must end blue ([`rbp_core::SinkConvention`]).
+    need_blue: bool,
+    comm: u64,
+    comp: u64,
+    sinks: Vec<bool>,
+    // reusable scratch (no per-expansion allocation)
+    scratch: Vec<u64>,
+    red_counts: Vec<u32>,
 }
 
-/// Solves the multiprocessor instance exactly (default configuration).
-pub fn solve_exact_mpp(instance: &Instance) -> Result<MppExactReport, SolveError> {
-    solve_exact_mpp_budgeted(instance, ExactConfig::default(), &SolveCtx::default())
-        .map(|(rep, _)| rep)
-}
+impl<'a> MppExpander<'a> {
+    /// Builds the move generator for `instance` (at its own `p`);
+    /// `prune` drops the deletion of blue pebbles.
+    pub(crate) fn new(instance: &'a Instance, prune: bool) -> Self {
+        let dag = instance.dag();
+        let n = dag.n();
+        let p = instance.procs().max(1);
+        let wpn = rbp_graph::words_for(n);
+        let oneshot = instance.model().kind() == ModelKind::Oneshot;
+        let key_words = (p + 1 + usize::from(oneshot)) * wpn;
+        let (comm, comp) = instance.cost_scales();
+        MppExpander {
+            instance,
+            n,
+            p,
+            wpn,
+            blue_off: p * wpn,
+            oneshot,
+            prune,
+            initially_blue: instance.source_convention() == SourceConvention::InitiallyBlue,
+            need_blue: instance.sink_convention() == rbp_core::SinkConvention::RequireBlue,
+            comm,
+            comp,
+            sinks: dag.nodes().map(|v| dag.is_sink(v)).collect(),
+            scratch: vec![0; key_words],
+            red_counts: vec![0; p],
+        }
+    }
 
-/// Budget-aware exact multiprocessor solve. Returns the report plus
-/// whether it is proved optimal (`false` when the budget expired and
-/// the report holds the best goal discovered so far).
-pub(crate) fn solve_exact_mpp_budgeted(
-    instance: &Instance,
-    cfg: ExactConfig,
-    ctx: &SolveCtx,
-) -> Result<(MppExactReport, bool), SolveError> {
-    cfg.validate()?;
-    bounds::check_feasible(instance)?;
+    #[inline]
+    fn plane<'k>(&self, key: &'k [u64], i: usize) -> &'k [u64] {
+        &key[i * self.wpn..(i + 1) * self.wpn]
+    }
 
-    let dag = instance.dag();
-    let n = dag.n();
-    let p = instance.procs().max(1);
-    let wpn = rbp_graph::words_for(n);
-    let oneshot = instance.model().kind() == ModelKind::Oneshot;
-    // key layout: p red planes, then blue, then (oneshot) computed
-    let key_words = (p + 1 + usize::from(oneshot)) * wpn;
-    let blue_off = p * wpn;
-    let comp_off = blue_off + wpn;
-    let (comm, comp) = instance.cost_scales();
-    let r_limit = instance.red_limit();
-    let model = instance.model();
-    let initially_blue = instance.source_convention() == SourceConvention::InitiallyBlue;
-    let need_blue = instance.sink_convention() == rbp_core::SinkConvention::RequireBlue;
-    let sinks: Vec<usize> = dag
-        .nodes()
-        .filter(|&v| dag.is_sink(v))
-        .map(|v| v.index())
-        .collect();
+    #[inline]
+    fn is_red_any(&self, key: &[u64], v: usize) -> bool {
+        (0..self.p).any(|i| bit_get(self.plane(key, i), v))
+    }
 
-    let is_red_on = |key: &[u64], i: usize, v: usize| bit_get(&key[i * wpn..(i + 1) * wpn], v);
-    let is_red_any =
-        |key: &[u64], v: usize| (0..p).any(|i| bit_get(&key[i * wpn..(i + 1) * wpn], v));
-    let is_blue = |key: &[u64], v: usize| bit_get(&key[blue_off..blue_off + wpn], v);
-    let is_computed = |key: &[u64], v: usize| {
-        if oneshot {
-            bit_get(&key[comp_off..comp_off + wpn], v)
+    #[inline]
+    fn is_blue(&self, key: &[u64], v: usize) -> bool {
+        bit_get(&key[self.blue_off..self.blue_off + self.wpn], v)
+    }
+
+    #[inline]
+    fn is_computed(&self, key: &[u64], v: usize) -> bool {
+        if self.oneshot {
+            bit_get(&key[self.blue_off + self.wpn..], v)
         } else {
-            is_red_any(key, v) || is_blue(key, v)
-        }
-    };
-    // sinks violating the finishing convention: the goal test (0) and
-    // the frontier's tie-break
-    let unsat = |key: &[u64]| {
-        sinks
-            .iter()
-            .filter(|&&s| !is_blue(key, s) && (need_blue || !is_red_any(key, s)))
-            .count() as u32
-    };
-
-    // initial configuration
-    let mut init = vec![0u64; key_words];
-    if initially_blue {
-        for v in dag.sources() {
-            bit_set(&mut init[blue_off..blue_off + wpn], v.index());
-            if oneshot {
-                bit_set(&mut init[comp_off..comp_off + wpn], v.index());
-            }
+            self.is_red_any(key, v) || self.is_blue(key, v)
         }
     }
 
-    let mut arena = StateArena::new(key_words);
-    let mut dist: Vec<u64> = Vec::new();
-    let mut parent: Vec<(u32, Move, u16)> = Vec::new();
-    let mut settled: Vec<bool> = Vec::new();
-    let mut frontier = Frontier::new();
-    let mut cutoff = cfg.seed_cutoff();
-    let mut best_goal: (u64, u32) = (u64::MAX, NO_STATE);
-
-    let (root, _) = arena.intern(&init);
-    dist.push(0);
-    parent.push((NO_STATE, Move::Delete(NodeId::new(0)), 0));
-    settled.push(false);
-    frontier.push(0, unsat(&init), root);
-
-    let budget_live = !ctx.budget.is_unlimited();
-    let mut expanded = 0usize;
-    let mut key_buf: Vec<u64> = Vec::with_capacity(key_words);
-    let mut scratch = vec![0u64; key_words];
-    let mut red_counts = vec![0u32; p];
-
-    let recover = |goal: u32, parent: &[(u32, Move, u16)]| {
-        let mut rev: Vec<(Move, u16)> = Vec::new();
-        let mut cur = goal;
-        while parent[cur as usize].0 != NO_STATE {
-            let (prev, mv, proc) = parent[cur as usize];
-            rev.push((mv, proc));
-            cur = prev;
-        }
-        let mut trace = Pebbling::with_capacity(rev.len());
-        for (mv, proc) in rev.into_iter().rev() {
-            trace.push_on(mv, proc);
-        }
-        trace
-    };
-    let report = |goal: u32,
-                  expanded: usize,
-                  arena: &StateArena,
-                  parent: &[(u32, Move, u16)]|
-     -> MppExactReport {
-        let trace = recover(goal, parent);
-        let stats = trace.stats();
-        MppExactReport {
-            cost: Cost {
-                transfers: stats.transfers(),
-                computes: stats.computes,
-            },
-            trace,
-            states_expanded: expanded,
-            states_seen: arena.len(),
-        }
-    };
-
-    if budget_live && ctx.budget.exhausted(0) {
-        return Err(SolveError::Interrupted);
+    /// Whether `v` is a sink violating the finishing convention in `key`.
+    #[inline]
+    fn unsat_sink(&self, key: &[u64], v: usize) -> bool {
+        self.sinks[v] && !self.is_blue(key, v) && (self.need_blue || !self.is_red_any(key, v))
     }
 
-    while let Some((_, id)) = frontier.pop() {
-        let idx = id as usize;
-        if settled[idx] {
-            continue;
+    /// The metadata of the successor in `self.scratch`, reached from
+    /// `(key, meta)` by a move on `v` that changes the red count by
+    /// `d_red`: only `v`'s own pebbles moved, so only `v` can flip its
+    /// sink's status.
+    #[inline]
+    fn child(&self, key: &[u64], meta: Meta, v: usize, d_red: i32) -> Meta {
+        let before = i32::from(self.unsat_sink(key, v));
+        let after = i32::from(self.unsat_sink(&self.scratch, v));
+        Meta {
+            red: (meta.red as i32 + d_red) as u32,
+            unsat: meta.bump_unsat(after - before),
+            heur: 0,
         }
-        settled[idx] = true;
-        key_buf.clear();
-        key_buf.extend_from_slice(arena.key(id));
-        let d = dist[idx];
-        expanded += 1;
-        if budget_live
-            && expanded.is_multiple_of(BUDGET_POLL_INTERVAL)
-            && ctx.budget.exhausted(expanded as u64)
-        {
-            let (_, gid) = best_goal;
-            if gid == NO_STATE {
-                return Err(SolveError::Interrupted);
-            }
-            return Ok((report(gid, expanded, &arena, &parent), false));
-        }
-        if unsat(&key_buf) == 0 {
-            return Ok((report(id, expanded, &arena, &parent), true));
-        }
+    }
+}
 
-        for (i, count) in red_counts.iter_mut().enumerate() {
-            *count = key_buf[i * wpn..(i + 1) * wpn]
-                .iter()
-                .map(|w| w.count_ones())
-                .sum();
-        }
+impl Expand for MppExpander<'_> {
+    fn key_words(&self) -> usize {
+        self.scratch.len()
+    }
 
-        // every (move, processor) successor; relax-or-intern each child
-        let mut relax = |succ: &[u64],
-                         mv: Move,
-                         proc: u16,
-                         edge: u64,
-                         arena: &mut StateArena|
-         -> Result<(), SolveError> {
-            let nd = d + edge;
-            if nd >= cutoff {
-                return Ok(());
-            }
-            let (cid, fresh) = arena.intern(succ);
-            if fresh {
-                dist.push(u64::MAX);
-                parent.push((NO_STATE, Move::Delete(NodeId::new(0)), 0));
-                settled.push(false);
-                if arena.len() > cfg.max_states {
-                    return Err(SolveError::StateLimitExceeded {
-                        limit: cfg.max_states,
-                    });
+    fn initial_key(&self) -> Vec<u64> {
+        let mut init = vec![0u64; self.scratch.len()];
+        if self.initially_blue {
+            let (blue, computed) = init[self.blue_off..].split_at_mut(self.wpn);
+            for v in self.instance.dag().sources() {
+                bit_set(blue, v.index());
+                if self.oneshot {
+                    bit_set(computed, v.index());
                 }
             }
-            let cidx = cid as usize;
-            if !settled[cidx] && nd < dist[cidx] {
-                dist[cidx] = nd;
-                parent[cidx] = (id, mv, proc);
-                let left = unsat(succ);
-                frontier.push(nd, left, cid);
-                if left == 0 && nd < best_goal.0 {
-                    best_goal = (nd, cid);
-                    if cfg.prune && nd < cutoff {
-                        cutoff = nd;
-                    }
-                }
-            }
-            Ok(())
-        };
+        }
+        init
+    }
 
-        for v in 0..n {
+    fn meta_scan(&self, key: &[u64]) -> Meta {
+        Meta {
+            red: key[..self.blue_off].iter().map(|w| w.count_ones()).sum(),
+            unsat: (0..self.n).filter(|&v| self.unsat_sink(key, v)).count() as u32,
+            heur: 0,
+        }
+    }
+
+    fn expand<F>(&mut self, key: &[u64], meta: Meta, mut emit: F) -> Result<(), SolveError>
+    where
+        F: FnMut(&[u64], Move, u16, u64, Meta) -> Result<(), SolveError>,
+    {
+        let dag = self.instance.dag();
+        let model = self.instance.model();
+        let r_limit = self.instance.red_limit();
+        let (wpn, blue_off) = (self.wpn, self.blue_off);
+        let comp_off = blue_off + wpn;
+        for i in 0..self.p {
+            self.red_counts[i] = self.plane(key, i).iter().map(|w| w.count_ones()).sum();
+        }
+        for v in 0..self.n {
             let node = NodeId::new(v);
-            let blue = is_blue(&key_buf, v);
-            let red_any = is_red_any(&key_buf, v);
-            for (i, &red_count) in red_counts.iter().enumerate() {
+            let blue = self.is_blue(key, v);
+            let red_any = self.is_red_any(key, v);
+            for i in 0..self.p {
                 let plane = i * wpn;
-                if is_red_on(&key_buf, i, v) {
+                let proc = i as u16;
+                let red_count = self.red_counts[i] as usize;
+                if bit_get(self.plane(key, i), v) {
                     // Store(i, v): own red -> shared blue
-                    scratch.copy_from_slice(&key_buf);
-                    bit_clear(&mut scratch[plane..plane + wpn], v);
-                    bit_set(&mut scratch[blue_off..blue_off + wpn], v);
-                    relax(&scratch, Move::Store(node), i as u16, comm, &mut arena)?;
+                    self.scratch.copy_from_slice(key);
+                    bit_clear(&mut self.scratch[plane..plane + wpn], v);
+                    bit_set(&mut self.scratch[blue_off..blue_off + wpn], v);
+                    let child = self.child(key, meta, v, -1);
+                    emit(&self.scratch, Move::Store(node), proc, self.comm, child)?;
                     // Delete(i, v) of the own red pebble
                     if model.allows_delete() {
-                        scratch.copy_from_slice(&key_buf);
-                        bit_clear(&mut scratch[plane..plane + wpn], v);
-                        relax(&scratch, Move::Delete(node), i as u16, 0, &mut arena)?;
+                        self.scratch.copy_from_slice(key);
+                        bit_clear(&mut self.scratch[plane..plane + wpn], v);
+                        let child = self.child(key, meta, v, -1);
+                        emit(&self.scratch, Move::Delete(node), proc, 0, child)?;
                     }
                     continue;
                 }
-                if blue && (red_count as usize) < r_limit {
+                if blue && red_count < r_limit {
                     // Load(i, v): shared blue -> own red
-                    scratch.copy_from_slice(&key_buf);
-                    bit_clear(&mut scratch[blue_off..blue_off + wpn], v);
-                    bit_set(&mut scratch[plane..plane + wpn], v);
-                    relax(&scratch, Move::Load(node), i as u16, comm, &mut arena)?;
+                    self.scratch.copy_from_slice(key);
+                    bit_clear(&mut self.scratch[blue_off..blue_off + wpn], v);
+                    bit_set(&mut self.scratch[plane..plane + wpn], v);
+                    let child = self.child(key, meta, v, 1);
+                    emit(&self.scratch, Move::Load(node), proc, self.comm, child)?;
                 }
                 // Compute(i, v): all inputs red on processor i
-                let recompute_ok = model.allows_recompute() || !is_computed(&key_buf, v);
-                let source_ok = !initially_blue || !dag.is_source(node);
+                let recompute_ok = model.allows_recompute() || !self.is_computed(key, v);
+                let source_ok = !self.initially_blue || !dag.is_source(node);
                 let computable = !red_any
                     && recompute_ok
                     && source_ok
-                    && (red_count as usize) < r_limit
+                    && red_count < r_limit
                     && dag
                         .pred_mask(node)
                         .iter()
-                        .zip(&key_buf[plane..plane + wpn])
+                        .zip(self.plane(key, i))
                         .all(|(m, r)| m & !r == 0);
                 if computable {
-                    scratch.copy_from_slice(&key_buf);
-                    bit_clear(&mut scratch[blue_off..blue_off + wpn], v);
-                    bit_set(&mut scratch[plane..plane + wpn], v);
-                    if oneshot {
-                        bit_set(&mut scratch[comp_off..comp_off + wpn], v);
+                    self.scratch.copy_from_slice(key);
+                    bit_clear(&mut self.scratch[blue_off..blue_off + wpn], v);
+                    bit_set(&mut self.scratch[plane..plane + wpn], v);
+                    if self.oneshot {
+                        bit_set(&mut self.scratch[comp_off..comp_off + wpn], v);
                     }
-                    relax(&scratch, Move::Compute(node), i as u16, comp, &mut arena)?;
+                    let child = self.child(key, meta, v, 1);
+                    emit(&self.scratch, Move::Compute(node), proc, self.comp, child)?;
                 }
             }
             // Delete of the shared blue pebble: processor-independent,
             // emitted once (from processor 0) and only in unpruned mode —
             // dropping shared data frees no private capacity, so the
             // smaller-blue state is dominated at equal cost.
-            if blue && model.allows_delete() && !cfg.prune {
-                scratch.copy_from_slice(&key_buf);
-                bit_clear(&mut scratch[blue_off..blue_off + wpn], v);
-                relax(&scratch, Move::Delete(node), 0, 0, &mut arena)?;
+            if blue && model.allows_delete() && !self.prune {
+                self.scratch.copy_from_slice(key);
+                bit_clear(&mut self.scratch[blue_off..blue_off + wpn], v);
+                let child = self.child(key, meta, v, 0);
+                emit(&self.scratch, Move::Delete(node), 0, 0, child)?;
             }
         }
+        Ok(())
     }
-    Err(SolveError::NoPebblingFound)
 }
 
 /// The move-application callback the greedy helpers thread through:
@@ -319,18 +265,11 @@ pub(crate) fn solve_exact_mpp_budgeted(
 type ApplyMove<'a> = dyn FnMut(&mut mpp::MppState, &mut Pebbling, &mut [u128], Move, usize) -> Result<(), SolveError>
     + 'a;
 
-/// Result of a greedy multiprocessor run.
-#[derive(Clone, Debug)]
-pub struct MppGreedyReport {
-    /// The produced processor-tagged pebbling (engine-validated).
-    pub trace: Pebbling,
-    /// Its exact global cost.
-    pub cost: Cost,
-}
-
 /// Greedy multiprocessor list scheduling: nodes in topological order,
 /// each assigned to the processor already holding most of its inputs.
-pub fn solve_greedy_mpp(instance: &Instance) -> Result<MppGreedyReport, SolveError> {
+/// Returns the processor-tagged pebbling (engine-validated) and its
+/// exact global cost.
+pub fn solve_greedy_mpp(instance: &Instance) -> Result<(Pebbling, Cost), SolveError> {
     bounds::check_feasible(instance)?;
     let dag = instance.dag();
     let n = dag.n();
@@ -494,10 +433,7 @@ pub fn solve_greedy_mpp(instance: &Instance) -> Result<MppGreedyReport, SolveErr
     }
 
     let rep = engine::simulate(instance, &trace).map_err(|e| SolveError::Pebbling(e.error))?;
-    Ok(MppGreedyReport {
-        trace,
-        cost: rep.cost,
-    })
+    Ok((trace, rep.cost))
 }
 
 // ---------------------------------------------------------------------
@@ -530,13 +466,11 @@ impl ExactMppSolver {
             cfg: ExactConfig::default(),
         }
     }
+}
 
-    fn derived(&self, instance: &Instance) -> Instance {
-        match self.procs {
-            Some(p) => instance.with_procs(p),
-            None => instance.clone(),
-        }
-    }
+/// `instance` at the processor count a `[:P]` override asks for.
+fn with_procs_override(instance: &Instance, procs: Option<u32>) -> Instance {
+    procs.map_or_else(|| instance.clone(), |p| instance.with_procs(p))
 }
 
 impl Solver for ExactMppSolver {
@@ -552,45 +486,18 @@ impl Solver for ExactMppSolver {
     }
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let inst = self.derived(instance);
-        let mut cfg = self.cfg;
-        cfg.validate()?;
-        bounds::check_feasible(&inst)?;
-        // seed the incumbent (and the degradation fallback) greedily
-        let seed = match solve_greedy_mpp(&inst) {
-            Ok(rep) => {
-                let ub = inst.scaled_cost(&rep.cost);
-                if cfg.prune && u64::try_from(ub).is_ok() {
-                    cfg.upper_bound = Some(cfg.upper_bound.map_or(ub as u64, |b| b.min(ub as u64)));
-                }
-                Some(rep)
-            }
-            Err(_) => None,
+        let inst = with_procs_override(instance, self.procs);
+        // the greedy schedule seeds the incumbent and the degradation
+        // fallback
+        let seed = || {
+            let (trace, cost) = solve_greedy_mpp(&inst).ok()?;
+            let bound = u64::try_from(inst.scaled_cost(&cost)).unwrap_or(u64::MAX);
+            Some(Seed { bound, trace, cost })
         };
-        match solve_exact_mpp_budgeted(&inst, cfg, ctx) {
-            Ok((rep, optimal)) => {
-                let mut stats = mpp_stats(&inst, &rep.trace);
-                stats.set("states_expanded", rep.states_expanded as u64);
-                stats.set("states_seen", rep.states_seen as u64);
-                let quality = if optimal {
-                    Quality::Optimal
-                } else {
-                    stats.set("degraded", 1);
-                    upper_bound_quality(&inst, rep.cost)
-                };
-                Solution::validated(&inst, rep.trace, quality, stats)
-            }
-            Err(SolveError::Interrupted) | Err(SolveError::StateLimitExceeded { .. })
-                if seed.is_some() =>
-            {
-                let rep = seed.expect("guarded");
-                let mut stats = mpp_stats(&inst, &rep.trace);
-                stats.set("degraded", 1);
-                let quality = upper_bound_quality(&inst, rep.cost);
-                Solution::validated(&inst, rep.trace, quality, stats)
-            }
-            Err(e) => Err(e),
-        }
+        let exp = MppExpander::new(&inst, self.cfg.prune);
+        solve_seeded(&inst, exp, self.cfg, ctx, seed, |trace| {
+            mpp_stats(&inst, trace)
+        })
     }
 }
 
@@ -627,14 +534,11 @@ impl Solver for GreedyMppSolver {
     }
 
     fn solve(&self, instance: &Instance, _ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let inst = match self.procs {
-            Some(p) => instance.with_procs(p),
-            None => instance.clone(),
-        };
-        let rep = solve_greedy_mpp(&inst)?;
-        let stats = mpp_stats(&inst, &rep.trace);
-        let quality = upper_bound_quality(&inst, rep.cost);
-        Solution::validated(&inst, rep.trace, quality, stats)
+        let inst = with_procs_override(instance, self.procs);
+        let (trace, cost) = solve_greedy_mpp(&inst)?;
+        let stats = mpp_stats(&inst, &trace);
+        let quality = upper_bound_quality(&inst, cost);
+        Solution::validated(&inst, trace, quality, stats)
     }
 }
 
@@ -656,25 +560,50 @@ fn mpp_stats(instance: &Instance, trace: &Pebbling) -> Stats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::solve_exact;
+    use crate::api::ExactSolver;
     use rbp_core::{CostModel, MppDim, Ratio, SinkConvention};
     use rbp_graph::{generate, DagBuilder};
 
+    fn exact_mpp(instance: &Instance) -> Solution {
+        ExactMppSolver::new().solve_default(instance).unwrap()
+    }
+
     #[test]
     fn p1_exact_matches_the_classic_optimum() {
+        // at p = 1 the two expanders span isomorphic state spaces, so
+        // the kernel must reach the same optimum through either — under
+        // every source and sink convention, and under the instance's own
+        // weights (expensive computes make recomputation, free at ε = 0,
+        // a real cost)
+        let own_weights = MppDim {
+            p: 1,
+            comm: Ratio::new(1, 1),
+            comp: Ratio::new(5, 1),
+        };
         let mut rng = rand::thread_rng();
         for kind in ModelKind::ALL {
             for _ in 0..3 {
                 let dag = generate::gnp_dag(5, 0.4, 2, &mut rng);
                 let r = dag.max_indegree() + 1;
-                let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-                let classic = solve_exact(&inst).unwrap();
-                let mpp1 = solve_exact_mpp(&inst.with_procs(1)).unwrap();
-                assert_eq!(
-                    inst.scaled_cost(&mpp1.cost),
-                    inst.scaled_cost(&classic.cost),
-                    "exact@mpp:1 must equal the classic optimum ({kind})"
-                );
+                let plain = Instance::new(dag, r, CostModel::of_kind(kind));
+                for inst in [
+                    plain.clone(),
+                    plain.with_source_convention(SourceConvention::InitiallyBlue),
+                    plain.with_sink_convention(SinkConvention::RequireBlue),
+                    plain.with_mpp(own_weights),
+                ] {
+                    let classic = ExactSolver::new().solve_default(&inst).unwrap();
+                    let mpp1 = exact_mpp(&inst.with_procs(1));
+                    assert!(classic.is_optimal() && mpp1.is_optimal());
+                    assert_eq!(
+                        inst.scaled_cost(&mpp1.cost),
+                        inst.scaled_cost(&classic.cost),
+                        "exact@mpp:1 must equal the classic optimum ({kind}, {:?}/{:?}, {:?})",
+                        inst.source_convention(),
+                        inst.sink_convention(),
+                        inst.mpp()
+                    );
+                }
             }
         }
     }
@@ -689,7 +618,7 @@ mod tests {
             let mut prev = u128::MAX;
             for p in [1u32, 2, 4] {
                 let lifted = inst.with_procs(p);
-                let rep = solve_exact_mpp(&lifted).unwrap();
+                let rep = exact_mpp(&lifted);
                 let c = lifted.scaled_cost(&rep.cost);
                 assert!(c <= prev, "optimum rose from p to {p}: {prev} -> {c}");
                 prev = c;
@@ -708,8 +637,8 @@ mod tests {
         b.add_edge(3, 4);
         b.add_edge(4, 5);
         let inst = Instance::new(b.build().unwrap(), 2, CostModel::nodel());
-        let p1 = solve_exact_mpp(&inst.with_procs(1)).unwrap();
-        let p2 = solve_exact_mpp(&inst.with_procs(2)).unwrap();
+        let p1 = exact_mpp(&inst.with_procs(1));
+        let p2 = exact_mpp(&inst.with_procs(2));
         let c1 = inst.with_procs(1).scaled_cost(&p1.cost);
         let c2 = inst.with_procs(2).scaled_cost(&p2.cost);
         assert_eq!(c1, 4, "classic nodel optimum stores n - R values");
@@ -724,7 +653,7 @@ mod tests {
         b.add_edge(1, 4);
         b.add_edge(3, 4);
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::base()).with_procs(2);
-        let rep = solve_exact_mpp(&inst).unwrap();
+        let rep = exact_mpp(&inst);
         let sim = engine::simulate(&inst, &rep.trace).unwrap();
         assert_eq!(sim.cost, rep.cost);
         let cert = rbp_core::certify(&inst, &rep.trace).unwrap();
@@ -742,7 +671,7 @@ mod tests {
             comm: Ratio::new(5, 1),
             comp: Ratio::new(1, 1),
         });
-        let rep = solve_exact_mpp(&inst).unwrap();
+        let rep = exact_mpp(&inst);
         // chain fits in one processor's 2 slots with deletion: no
         // transfers, 3 computes at weight 1
         assert_eq!(inst.scaled_cost(&rep.cost), 3);
@@ -756,10 +685,10 @@ mod tests {
             let dag = generate::gnp_dag(5, 0.4, 2, &mut rng);
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::of_kind(kind)).with_procs(2);
-            let greedy = solve_greedy_mpp(&inst).unwrap();
-            let exact = solve_exact_mpp(&inst).unwrap();
+            let (_, greedy) = solve_greedy_mpp(&inst).unwrap();
+            let exact = exact_mpp(&inst);
             assert!(
-                inst.scaled_cost(&exact.cost) <= inst.scaled_cost(&greedy.cost),
+                inst.scaled_cost(&exact.cost) <= inst.scaled_cost(&greedy),
                 "greedy beat exact under {kind}"
             );
             // the greedy trace is valid under conventions too
@@ -767,8 +696,8 @@ mod tests {
                 .with_source_convention(SourceConvention::InitiallyBlue)
                 .with_sink_convention(SinkConvention::RequireBlue)
                 .with_procs(2);
-            let rep = solve_greedy_mpp(&conv).unwrap();
-            assert!(engine::simulate(&conv, &rep.trace).is_ok(), "{kind}");
+            let (trace, _) = solve_greedy_mpp(&conv).unwrap();
+            assert!(engine::simulate(&conv, &trace).is_ok(), "{kind}");
         }
     }
 
@@ -785,8 +714,8 @@ mod tests {
             comm: Ratio::new(1, 1),
             comp: Ratio::new(1, 1),
         });
-        let rep = solve_greedy_mpp(&inst).unwrap();
-        let sim = mpp::simulate_mpp(&inst, &rep.trace).unwrap();
+        let (trace, _) = solve_greedy_mpp(&inst).unwrap();
+        let sim = mpp::simulate_mpp(&inst, &trace).unwrap();
         assert!(
             sim.per_proc.iter().all(|c| c.computes == 2),
             "work not spread: {:?}",

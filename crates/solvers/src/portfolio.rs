@@ -7,7 +7,8 @@
 
 use crate::error::SolveError;
 use crate::greedy::{solve_greedy_with, EvictionPolicy, GreedyConfig, GreedyReport, SelectionRule};
-use rbp_core::{bounds, Instance};
+use crate::search::Seed;
+use rbp_core::{bounds, Cost, Instance};
 
 /// The default portfolio: all three selection rules crossed with the
 /// deterministic eviction policies.
@@ -57,9 +58,9 @@ pub fn solve_portfolio(
     best.ok_or(last_err)
 }
 
-/// Best-of-greedy incumbent — the scaled upper bound plus the report
-/// realizing it — used to seed the exact searches and as the fallback a
-/// budget-expired solve degrades to. `None` when every greedy
+/// Best-of-greedy incumbent — the scaled upper bound plus the trace
+/// realizing it — used to seed the classic exact search and as the
+/// fallback a budget-expired solve degrades to. `None` when every greedy
 /// configuration fails (the search then starts unbounded).
 ///
 /// Cost-staged: the single default greedy runs first, and the full
@@ -68,43 +69,34 @@ pub fn solve_portfolio(
 /// ([`bounds::best_lower_bound`]). On instances whose default greedy
 /// is already optimal (chains, most zero-cost cells) seeding costs one
 /// microsecond-scale greedy solve instead of nine, which keeps the
-/// seeded sequential path competitive even on solves that finish in
-/// tens of microseconds.
-pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<(u64, GreedyReport)> {
-    let eps = instance.model().epsilon();
-    let clamp = |scaled: u128| u64::try_from(scaled).unwrap_or(u64::MAX);
-    let floor = bounds::best_lower_bound(instance).scaled(eps);
+/// seeded path competitive even on solves that finish in tens of
+/// microseconds.
+pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<Seed> {
+    // in the instance's own objective: the search's edge units
+    let scaled = |cost: &Cost| instance.scaled_cost(cost);
+    let floor = scaled(&bounds::best_lower_bound(instance));
     let first = crate::greedy::solve_greedy(instance).ok();
-    if let Some(rep) = &first {
-        if rep.cost.scaled(eps) <= floor {
-            let scaled = clamp(rep.cost.scaled(eps));
-            return first.map(|r| (scaled, r));
-        }
-    }
-    // escalation re-runs the other eight configurations only — the
-    // default one already produced `first`
-    let rest: Vec<_> = default_portfolio()
-        .into_iter()
-        .filter(|c| *c != crate::greedy::GreedyConfig::default())
-        .collect();
-    let best = if rest.is_empty() {
+    let best = if first.as_ref().is_some_and(|rep| scaled(&rep.cost) <= floor) {
         None
     } else {
+        // escalation re-runs the other eight configurations only — the
+        // default one already produced `first`
+        let rest: Vec<_> = default_portfolio()
+            .into_iter()
+            .filter(|c| *c != GreedyConfig::default())
+            .collect();
         solve_portfolio(instance, &rest).ok().map(|(_, rep)| rep)
     };
-    match (first, best) {
-        (Some(a), Some(b)) => {
-            let winner = if a.cost.scaled(eps) <= b.cost.scaled(eps) {
-                a
-            } else {
-                b
-            };
-            Some((clamp(winner.cost.scaled(eps)), winner))
-        }
-        (Some(a), None) => Some((clamp(a.cost.scaled(eps)), a)),
-        (None, Some(b)) => Some((clamp(b.cost.scaled(eps)), b)),
-        (None, None) => None,
-    }
+    // the cheaper of the two, `first` on ties
+    let winner = match (first, best) {
+        (Some(a), Some(b)) if scaled(&b.cost) < scaled(&a.cost) => b,
+        (a, b) => a.or(b)?,
+    };
+    Some(Seed {
+        bound: u64::try_from(scaled(&winner.cost)).unwrap_or(u64::MAX),
+        trace: winner.trace,
+        cost: winner.cost,
+    })
 }
 
 #[cfg(test)]

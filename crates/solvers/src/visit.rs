@@ -540,6 +540,7 @@ impl crate::api::Solver for VisitOrderSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ExactSolver, Solver};
     use rbp_core::CostModel;
     use rbp_graph::DagBuilder;
 
@@ -597,7 +598,7 @@ mod tests {
         let best = best_order(&grouped, &inst).unwrap();
         // cross-check against the unrestricted exact solver: visit-order
         // pebblings are optimal on input-group DAGs (paper, Sections 6–8)
-        let exact = crate::exact::solve_exact(&inst).unwrap();
+        let exact = ExactSolver::new().solve_default(&inst).unwrap();
         assert_eq!(
             best.scaled,
             exact.cost.scaled(inst.model().epsilon()),

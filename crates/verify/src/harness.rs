@@ -9,7 +9,7 @@
 //! | [`Invariant::SolverError`] | no registry spec errors on a feasible instance |
 //! | [`Invariant::OptimalAgreement`] | every `Quality::Optimal` claim equals the exact optimum |
 //! | [`Invariant::HeuristicDominated`] | every heuristic cost ≥ the optimum |
-//! | [`Invariant::ExactAgreement`] | `reference == exact` and `exact:unseeded == exact` |
+//! | [`Invariant::ExactAgreement`] | unbudgeted `reference` and `exact:unseeded` prove `Optimal` wherever `exact` does |
 //! | [`Invariant::DegradedBracket`] | budget-degraded `UpperBound`: `lower_bound ≤ optimum ≤ cost` |
 //! | [`Invariant::CacheIdentity`] | a cache hit is byte-identical to the solution inserted |
 //! | [`Invariant::InstanceRoundTrip`] | `write ∘ parse ∘ write` is identity for `instance v1` |
@@ -53,8 +53,10 @@ pub enum Invariant {
     OptimalAgreement,
     /// A heuristic produced a cost below the proved optimum.
     HeuristicDominated,
-    /// Another exact-family solve (`reference`, `exact:unseeded`)
-    /// differs from the seeded `exact` cost.
+    /// An unbudgeted exact-family solve (`reference`,
+    /// `exact:unseeded`) returned a non-`Optimal` solution on an
+    /// instance the seeded `exact` anchor proved optimal (their costs
+    /// are compared by [`Invariant::OptimalAgreement`]).
     ExactAgreement,
     /// A budget-degraded upper bound fails `lb ≤ optimum ≤ cost`.
     DegradedBracket,
@@ -308,15 +310,17 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
                 });
             }
         }
-        if anchored
-            && sol.is_optimal()
-            && (spec == "reference" || spec == "exact:unseeded")
-            && cost != opt
-        {
+        // both run unbudgeted, so once the anchor proved its optimum
+        // their only legal non-optimal outcomes are the resource errors
+        // skipped above; an agreeing cost is `optimal-agreement`'s row
+        if anchored && !sol.is_optimal() && (spec == "reference" || spec == "exact:unseeded") {
             out.violations.push(Violation {
                 invariant: Invariant::ExactAgreement,
                 spec: spec.to_string(),
-                detail: format!("exact-family cost {cost} != sequential exact {opt}"),
+                detail: format!(
+                    "unbudgeted exact-family solve returned {:?} at {cost}",
+                    sol.quality
+                ),
             });
         }
     }

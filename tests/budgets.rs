@@ -53,26 +53,30 @@ fn deadline_expired_exact_returns_greedy_seeded_upper_bound() {
 }
 
 /// The expansion cap is honored within one poll quantum — a
-/// deterministic variant of the deadline test.
+/// deterministic variant of the deadline test — by both expanders of
+/// the search kernel.
 #[test]
 fn expansion_cap_is_honored_within_a_quantum() {
     let inst = hard_instance();
     let cap = 5_000u64;
     let ctx = SolveCtx::new(Budget::none().with_max_expansions(cap));
-    let sol = registry::solver("exact")
-        .unwrap()
-        .solve(&inst, &ctx)
-        .expect("cap must degrade, not error");
-    assert!(!sol.is_optimal());
-    if let Some(expanded) = sol.states_expanded() {
-        // polls happen every 256 expansions; the overshoot is at most
-        // one quantum
-        assert!(
-            expanded <= cap + 256,
-            "expanded {expanded} states against a cap of {cap}"
-        );
+    for (spec, solved) in [("exact", inst.clone()), ("exact@mpp:2", inst.with_procs(2))] {
+        let sol = registry::solver(spec)
+            .unwrap()
+            .solve(&inst, &ctx)
+            .expect("cap must degrade, not error");
+        assert!(!sol.is_optimal(), "{spec}");
+        assert_eq!(sol.stats.get("degraded"), Some(1), "{spec}");
+        if let Some(expanded) = sol.states_expanded() {
+            // polls happen every 256 expansions; the overshoot is at most
+            // one quantum
+            assert!(
+                expanded <= cap + 256,
+                "{spec} expanded {expanded} states against a cap of {cap}"
+            );
+        }
+        assert!(engine::simulate(&solved, &sol.trace).is_ok(), "{spec}");
     }
-    assert!(engine::simulate(&inst, &sol.trace).is_ok());
 }
 
 /// The cancellation flag stops a running exact solve within one poll
@@ -109,25 +113,50 @@ fn cancellation_stops_a_running_exact_solve_within_one_quantum() {
     assert!(engine::simulate(&inst, &sol.trace).is_ok());
 }
 
-/// A pre-set cancellation flag degrades immediately to the greedy seed —
-/// and the same budget with seeding disabled is `Interrupted`.
+/// A pre-set cancellation flag degrades immediately to the greedy seed
+/// (the classic portfolio or the multiprocessor list scheduler) — and
+/// the same budget with seeding disabled is `Interrupted`.
 #[test]
 fn pre_cancelled_solves_degrade_or_interrupt() {
     let inst = hard_instance();
     let flag = Arc::new(AtomicBool::new(true));
     let ctx = SolveCtx::new(Budget::none().with_cancel(Arc::clone(&flag)));
 
-    let sol = registry::solver("exact")
-        .unwrap()
-        .solve(&inst, &ctx)
-        .expect("seeded solve degrades");
-    assert_eq!(sol.stats.get("degraded"), Some(1));
-    assert!(engine::simulate(&inst, &sol.trace).is_ok());
+    for (spec, solved) in [("exact", inst.clone()), ("exact@mpp:2", inst.with_procs(2))] {
+        let sol = registry::solver(spec)
+            .unwrap()
+            .solve(&inst, &ctx)
+            .expect("seeded solve degrades");
+        assert_eq!(sol.stats.get("degraded"), Some(1), "{spec}");
+        assert_eq!(sol.states_expanded(), None, "{spec} expanded nothing");
+        assert!(engine::simulate(&solved, &sol.trace).is_ok(), "{spec}");
+    }
 
     let res = registry::solver("exact:unseeded")
         .unwrap()
         .solve(&inst, &ctx);
     assert_eq!(res.unwrap_err(), SolveError::Interrupted);
+}
+
+/// A multiprocessor solve that runs past one progress interval (8,192
+/// expansions) reports to the observer, with monotone counters, like
+/// the classic one.
+#[test]
+fn exact_mpp_reports_progress_past_one_interval() {
+    use std::sync::Mutex;
+    let seen: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let observer = |p: &Progress| seen.lock().unwrap().push(p.states_expanded);
+    let ctx = SolveCtx::with_progress(Budget::none().with_max_expansions(10_000), &observer);
+    let inst = hard_instance();
+    let sol = registry::solver("exact@mpp:2")
+        .unwrap()
+        .solve(&inst, &ctx)
+        .expect("cap must degrade, not error");
+    assert!(!sol.is_optimal(), "the cap stops the search short");
+    let seen = seen.into_inner().unwrap();
+    assert!(!seen.is_empty(), "no progress snapshot");
+    assert_eq!(seen[0], 8_192, "one snapshot per interval");
+    assert!(seen.windows(2).all(|w| w[0] <= w[1]), "monotone progress");
 }
 
 /// Budgets never change answers, only completeness: a budget loose
