@@ -547,7 +547,7 @@ impl Solver for ExactSolver {
         let seeded = self.seed_incumbent && self.cfg.prune;
         solve_seeded(
             instance,
-            Expander::new(instance, self.cfg.prune, self.cfg.astar),
+            Expander::new,
             self.cfg,
             ctx,
             || seeded.then(|| greedy_incumbent(instance)).flatten(),

@@ -375,10 +375,13 @@ mod tests {
             let dag = generate::gnp_dag(6, 0.35, 2, &mut rng);
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-            let exp = crate::expand::Expander::new(&inst, true, true);
-            let out = crate::search::Search::new(&inst, exp, ExactConfig::default())
-                .run(&crate::api::SolveCtx::default())
-                .unwrap();
+            let out = crate::search::Search::new(
+                &inst,
+                crate::expand::Expander::new,
+                ExactConfig::default(),
+            )
+            .run(&crate::api::SolveCtx::default())
+            .unwrap();
             let sim = engine::simulate(&inst, &out.trace).unwrap();
             assert_eq!(sim.cost, out.cost, "cost must derive from the trace");
         }

@@ -14,6 +14,7 @@
 //! there is normative for the code here.
 
 use crate::error::SolveError;
+use crate::exact::ExactConfig;
 use crate::search::{Expand, Meta};
 use rbp_core::{Instance, ModelKind, Move, SourceConvention};
 use rbp_graph::bitset::{bit_clear, bit_get, bit_set};
@@ -56,10 +57,10 @@ pub(crate) struct Expander<'a> {
 }
 
 impl<'a> Expander<'a> {
-    /// Builds the move generator for `instance`. `prune` enables the
-    /// optimality-preserving prunes; `astar` requests the admissible
+    /// Builds the move generator for `instance`. `cfg.prune` enables the
+    /// optimality-preserving prunes; `cfg.astar` requests the admissible
     /// oneshot heuristic (ignored for other models).
-    pub(crate) fn new(instance: &'a Instance, prune: bool, astar: bool) -> Self {
+    pub(crate) fn new(instance: &'a Instance, cfg: &ExactConfig) -> Self {
         let n = instance.dag().n();
         let wpn = rbp_graph::words_for(n);
         debug_assert_eq!(wpn, instance.dag().mask_words());
@@ -85,8 +86,8 @@ impl<'a> Expander<'a> {
             key_words,
             oneshot,
             track_computed,
-            astar: astar && oneshot,
-            prune,
+            astar: cfg.astar && oneshot,
+            prune: cfg.prune,
             need_blue: instance.sink_convention() == rbp_core::SinkConvention::RequireBlue,
             comm,
             comp,
@@ -384,7 +385,7 @@ mod tests {
         // check the ±delta metadata against the rescan
         for kind in ModelKind::ALL {
             let inst = Instance::new(generate::chain(6), 2, CostModel::of_kind(kind));
-            let mut exp = Expander::new(&inst, true, true);
+            let mut exp = Expander::new(&inst, &ExactConfig::default());
             let root = exp.initial_key();
             let root_meta = exp.meta_scan(&root);
             let mut frontier: Vec<(Vec<u64>, Meta)> = vec![(root, root_meta)];
@@ -399,7 +400,7 @@ mod tests {
                 }
                 for (key, meta) in &next {
                     let scan = {
-                        let e = Expander::new(&inst, true, true);
+                        let e = Expander::new(&inst, &ExactConfig::default());
                         e.meta_scan(key)
                     };
                     assert_eq!(*meta, scan, "delta metadata drifted from rescan ({kind})");
@@ -414,7 +415,7 @@ mod tests {
         // at a goal every node is computed, so the A* count is empty —
         // the search's f = g at goals relies on this
         let inst = Instance::new(generate::chain(3), 2, CostModel::oneshot());
-        let exp = Expander::new(&inst, true, true);
+        let exp = Expander::new(&inst, &ExactConfig::default());
         let mut key = vec![0u64; exp.key_words()];
         // all computed, sink red: a satisfied final configuration
         key[0] = 0b100; // red = {2}

@@ -78,8 +78,8 @@ pub(crate) struct MppExpander<'a> {
 
 impl<'a> MppExpander<'a> {
     /// Builds the move generator for `instance` (at its own `p`);
-    /// `prune` drops the deletion of blue pebbles.
-    pub(crate) fn new(instance: &'a Instance, prune: bool) -> Self {
+    /// `cfg.prune` drops the deletion of blue pebbles.
+    pub(crate) fn new(instance: &'a Instance, cfg: &ExactConfig) -> Self {
         let dag = instance.dag();
         let n = dag.n();
         let p = instance.procs().max(1);
@@ -94,7 +94,7 @@ impl<'a> MppExpander<'a> {
             wpn,
             blue_off: p * wpn,
             oneshot,
-            prune,
+            prune: cfg.prune,
             initially_blue: instance.source_convention() == SourceConvention::InitiallyBlue,
             need_blue: instance.sink_convention() == rbp_core::SinkConvention::RequireBlue,
             comm,
@@ -494,8 +494,7 @@ impl Solver for ExactMppSolver {
             let bound = u64::try_from(inst.scaled_cost(&cost)).unwrap_or(u64::MAX);
             Some(Seed { bound, trace, cost })
         };
-        let exp = MppExpander::new(&inst, self.cfg.prune);
-        solve_seeded(&inst, exp, self.cfg, ctx, seed, |trace| {
+        solve_seeded(&inst, MppExpander::new, self.cfg, ctx, seed, |trace| {
             mpp_stats(&inst, trace)
         })
     }
@@ -605,6 +604,32 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn classic_exact_optimizes_custom_weights_at_one_processor() {
+        // a one-processor base instance with its own weights (comm 1,
+        // comp 5): 1, 2 → 4; 0, 4 → 5; node 3 isolated. With R = 3 every
+        // node can be computed once with no I/O, so the optimum is the
+        // every-node-computed-once floor, 6 × 5 = 30. Edges weighted by
+        // ε instead treat recomputation as free and return 40, tagged
+        // optimal.
+        let mut b = DagBuilder::new(6);
+        for (u, v) in [(1, 4), (2, 4), (0, 5), (4, 5)] {
+            b.add_edge(u, v);
+        }
+        let inst = Instance::new(b.build().unwrap(), 3, CostModel::base()).with_mpp(MppDim {
+            p: 1,
+            comm: Ratio::new(1, 1),
+            comp: Ratio::new(5, 1),
+        });
+        let classic = ExactSolver::new().solve_default(&inst).unwrap();
+        let reference = ExactSolver::reference().solve_default(&inst).unwrap();
+        let mpp1 = exact_mpp(&inst);
+        for sol in [&classic, &reference, &mpp1] {
+            assert!(sol.is_optimal());
+            assert_eq!(inst.scaled_cost(&sol.cost), 30);
         }
     }
 

@@ -168,9 +168,9 @@ pub(crate) struct Seed {
 /// stats are `extra(trace)` plus `states_expanded`/`states_seen`. An
 /// expired budget or a tripped state cap falls back to the seed's trace
 /// with `degraded = 1` when a seed exists.
-pub(crate) fn solve_seeded<E: Expand>(
-    instance: &Instance,
-    exp: E,
+pub(crate) fn solve_seeded<'a, E: Expand>(
+    instance: &'a Instance,
+    make: impl FnOnce(&'a Instance, &ExactConfig) -> E,
     mut cfg: ExactConfig,
     ctx: &SolveCtx,
     seed: impl FnOnce() -> Option<Seed>,
@@ -182,8 +182,9 @@ pub(crate) fn solve_seeded<E: Expand>(
     if let Some(s) = seed.as_ref().filter(|_| cfg.prune) {
         cfg.upper_bound = Some(cfg.upper_bound.map_or(s.bound, |b| b.min(s.bound)));
     }
-    let covers = exp.covers_instance();
-    match Search::new(instance, exp, cfg).run(ctx) {
+    let search = Search::new(instance, make, cfg);
+    let covers = search.exp.covers_instance();
+    match search.run(ctx) {
         Ok(out) => {
             let mut stats = extra(&out.trace);
             stats.set("states_expanded", out.states_expanded as u64);
@@ -306,8 +307,8 @@ impl Parent {
     }
 }
 
-/// One kernel run over `exp`'s configuration graph. `cfg` must be valid
-/// and the instance feasible (checked by [`solve_seeded`]).
+/// One kernel run over an expander's configuration graph. `cfg` must be
+/// valid and the instance feasible (checked by [`solve_seeded`]).
 pub(crate) struct Search<E> {
     cfg: ExactConfig,
     exp: E,
@@ -335,7 +336,15 @@ pub(crate) struct Search<E> {
 }
 
 impl<E: Expand> Search<E> {
-    pub(crate) fn new(instance: &Instance, exp: E, cfg: ExactConfig) -> Self {
+    /// Builds the expander with `make` from this run's own `cfg`, so the
+    /// expander's move prunes and the kernel's cutoff, floor exit and
+    /// asserts always follow the same `prune` flag.
+    pub(crate) fn new<'a>(
+        instance: &'a Instance,
+        make: impl FnOnce(&'a Instance, &ExactConfig) -> E,
+        cfg: ExactConfig,
+    ) -> Self {
+        let exp = make(instance, &cfg);
         Search {
             cfg,
             #[cfg(debug_assertions)]
