@@ -192,22 +192,15 @@ mod tests {
 
     #[test]
     fn two_joins_sharing_inputs_tight_memory() {
-        // 0,1 -> 3 ; 1,2 -> 4, with R = 3: an optimal order interleaves to
-        // avoid transfers entirely (compute 0,1,3; drop 0&3 handling...).
+        // 0,1 -> 3 ; 1,2 -> 4, oneshot, R = 3: whichever sink is computed
+        // second fills all three slots with itself and its two inputs, so
+        // the first sink must already be blue — exactly one transfer.
         let mut b = DagBuilder::new(5);
         b.add_edge(0, 3);
         b.add_edge(1, 3);
         b.add_edge(1, 4);
         b.add_edge(2, 4);
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::oneshot());
-        // compute 0,1 (2 red), compute 3 (3 red), store 3? No: delete 0
-        // (never needed again), compute 2, compute 4 needs slot: 3 is a
-        // sink -> store costs 1? But delete 3 is illegal-to-win... Actually
-        // after computing 3 we can store nothing: red = {0,1,3}. Delete 0
-        // (free) -> {1,3}, compute 2 -> {1,2,3}, need slot for 4: store 3
-        // (sink, must keep) cost 1... or could we have stored 3 earlier?
-        // Any way round, one transfer is forced: R=3, two sinks + shared
-        // input... The exact solver decides: assert optimum is 1.
         check_optimal(&inst, 1);
     }
 

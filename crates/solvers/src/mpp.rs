@@ -39,7 +39,7 @@
 use crate::api::{upper_bound_quality, Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
 use crate::exact::ExactConfig;
-use crate::search::{solve_seeded, Expand, Meta, Seed};
+use crate::search::{solve_seeded, Expand, Meta};
 use rbp_core::{bounds, engine, mpp, Cost, Instance, ModelKind, Move, Pebbling, SourceConvention};
 use rbp_graph::bitset::{bit_clear, bit_get, bit_set};
 use rbp_graph::NodeId;
@@ -260,11 +260,6 @@ impl Expand for MppExpander<'_> {
     }
 }
 
-/// The move-application callback the greedy helpers thread through:
-/// `(state, trace, per-processor work, move, processor)`.
-type ApplyMove<'a> = dyn FnMut(&mut mpp::MppState, &mut Pebbling, &mut [u128], Move, usize) -> Result<(), SolveError>
-    + 'a;
-
 /// Greedy multiprocessor list scheduling: nodes in topological order,
 /// each assigned to the processor already holding most of its inputs.
 /// Returns the processor-tagged pebbling (engine-validated) and its
@@ -293,11 +288,11 @@ pub fn solve_greedy_mpp(instance: &Instance) -> Result<(Pebbling, Cost), SolveEr
     // weighted accumulated work per processor (load-balancing tiebreak)
     let mut work: Vec<u128> = vec![0; p];
 
-    let mut apply = |state: &mut mpp::MppState,
-                     trace: &mut Pebbling,
-                     work: &mut [u128],
-                     mv: Move,
-                     proc: usize|
+    let apply = |state: &mut mpp::MppState,
+                 trace: &mut Pebbling,
+                 work: &mut [u128],
+                 mv: Move,
+                 proc: usize|
      -> Result<(), SolveError> {
         state
             .apply(mv, proc as u16, instance)
@@ -318,7 +313,6 @@ pub fn solve_greedy_mpp(instance: &Instance) -> Result<(Pebbling, Cost), SolveEr
     let ensure_slot = |state: &mut mpp::MppState,
                        trace: &mut Pebbling,
                        work: &mut [u128],
-                       apply: &mut ApplyMove<'_>,
                        uses: &[u32],
                        i: usize,
                        pinned: &[NodeId]|
@@ -382,9 +376,7 @@ pub fn solve_greedy_mpp(instance: &Instance) -> Result<(Pebbling, Cost), SolveEr
                 // ship through shared memory: store on the holder...
                 apply(&mut state, &mut trace, &mut work, Move::Store(u), j)?;
             }
-            ensure_slot(
-                &mut state, &mut trace, &mut work, &mut apply, &uses, i, preds,
-            )?;
+            ensure_slot(&mut state, &mut trace, &mut work, &uses, i, preds)?;
             if state.is_blue(u) {
                 apply(&mut state, &mut trace, &mut work, Move::Load(u), i)?;
             } else {
@@ -398,9 +390,7 @@ pub fn solve_greedy_mpp(instance: &Instance) -> Result<(Pebbling, Cost), SolveEr
                 computed[u.index()] = true;
             }
         }
-        ensure_slot(
-            &mut state, &mut trace, &mut work, &mut apply, &uses, i, preds,
-        )?;
+        ensure_slot(&mut state, &mut trace, &mut work, &uses, i, preds)?;
         apply(&mut state, &mut trace, &mut work, Move::Compute(v), i)?;
         computed[v.index()] = true;
         for &u in preds {
@@ -413,7 +403,7 @@ pub fn solve_greedy_mpp(instance: &Instance) -> Result<(Pebbling, Cost), SolveEr
         for v in dag.nodes() {
             if dag.is_source(v) && dag.is_sink(v) && !computed[v.index()] {
                 let i = (0..p).min_by_key(|&i| (work[i], i)).expect("p >= 1");
-                ensure_slot(&mut state, &mut trace, &mut work, &mut apply, &uses, i, &[])?;
+                ensure_slot(&mut state, &mut trace, &mut work, &uses, i, &[])?;
                 apply(&mut state, &mut trace, &mut work, Move::Compute(v), i)?;
                 computed[v.index()] = true;
             }
@@ -489,11 +479,7 @@ impl Solver for ExactMppSolver {
         let inst = with_procs_override(instance, self.procs);
         // the greedy schedule seeds the incumbent and the degradation
         // fallback
-        let seed = || {
-            let (trace, cost) = solve_greedy_mpp(&inst).ok()?;
-            let bound = u64::try_from(inst.scaled_cost(&cost)).unwrap_or(u64::MAX);
-            Some(Seed { bound, trace, cost })
-        };
+        let seed = || solve_greedy_mpp(&inst).ok();
         solve_seeded(&inst, MppExpander::new, self.cfg, ctx, seed, |trace| {
             mpp_stats(&inst, trace)
         })

@@ -7,8 +7,7 @@
 
 use crate::error::SolveError;
 use crate::greedy::{solve_greedy_with, EvictionPolicy, GreedyConfig, GreedyReport, SelectionRule};
-use crate::search::Seed;
-use rbp_core::{bounds, Cost, Instance};
+use rbp_core::{bounds, Cost, Instance, Pebbling};
 
 /// The default portfolio: all three selection rules crossed with the
 /// deterministic eviction policies.
@@ -58,8 +57,7 @@ pub fn solve_portfolio(
     best.ok_or(last_err)
 }
 
-/// Best-of-greedy incumbent — the scaled upper bound plus the trace
-/// realizing it — used to seed the classic exact search and as the
+/// Best-of-greedy incumbent — the trace and its cost — used to seed the classic exact search and as the
 /// fallback a budget-expired solve degrades to. `None` when every greedy
 /// configuration fails (the search then starts unbounded).
 ///
@@ -71,8 +69,7 @@ pub fn solve_portfolio(
 /// microsecond-scale greedy solve instead of nine, which keeps the
 /// seeded path competitive even on solves that finish in tens of
 /// microseconds.
-pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<Seed> {
-    // in the instance's own objective: the search's edge units
+pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<(Pebbling, Cost)> {
     let scaled = |cost: &Cost| instance.scaled_cost(cost);
     let floor = scaled(&bounds::best_lower_bound(instance));
     let first = crate::greedy::solve_greedy(instance).ok();
@@ -92,11 +89,7 @@ pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<Seed> {
         (Some(a), Some(b)) if scaled(&b.cost) < scaled(&a.cost) => b,
         (a, b) => a.or(b)?,
     };
-    Some(Seed {
-        bound: u64::try_from(scaled(&winner.cost)).unwrap_or(u64::MAX),
-        trace: winner.trace,
-        cost: winner.cost,
-    })
+    Some((winner.trace, winner.cost))
 }
 
 #[cfg(test)]

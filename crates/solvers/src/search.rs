@@ -153,18 +153,9 @@ pub(crate) struct Outcome {
     pub(crate) optimal: bool,
 }
 
-/// A greedy upper bound handed to [`solve_seeded`]: its cost in the
-/// search's scaled edge units (the prune cutoff), and the trace and cost
-/// the solve degrades to when the search finds no goal.
-pub(crate) struct Seed {
-    pub(crate) bound: u64,
-    pub(crate) trace: Pebbling,
-    pub(crate) cost: Cost,
-}
-
 /// Seed, search, degrade: the protocol both exact adapters share.
-/// Validates `cfg` and feasibility, runs `seed` (whose bound tightens the
-/// cutoff under pruning), searches, and returns a [`Solution`] whose
+/// Validates `cfg` and feasibility, runs `seed` (a greedy trace and its
+/// cost, whose scaled value tightens the cutoff under pruning), searches, and returns a [`Solution`] whose
 /// stats are `extra(trace)` plus `states_expanded`/`states_seen`. An
 /// expired budget or a tripped state cap falls back to the seed's trace
 /// with `degraded = 1` when a seed exists.
@@ -173,14 +164,16 @@ pub(crate) fn solve_seeded<'a, E: Expand>(
     make: impl FnOnce(&'a Instance, &ExactConfig) -> E,
     mut cfg: ExactConfig,
     ctx: &SolveCtx,
-    seed: impl FnOnce() -> Option<Seed>,
+    seed: impl FnOnce() -> Option<(Pebbling, Cost)>,
     extra: impl Fn(&Pebbling) -> Stats,
 ) -> Result<Solution, SolveError> {
     cfg.validate()?;
     bounds::check_feasible(instance)?;
     let seed = seed();
-    if let Some(s) = seed.as_ref().filter(|_| cfg.prune) {
-        cfg.upper_bound = Some(cfg.upper_bound.map_or(s.bound, |b| b.min(s.bound)));
+    if let Some((_, cost)) = seed.as_ref().filter(|_| cfg.prune) {
+        // the instance's scaled objective is the search's edge unit
+        let bound = u64::try_from(instance.scaled_cost(cost)).unwrap_or(u64::MAX);
+        cfg.upper_bound = Some(cfg.upper_bound.map_or(bound, |b| b.min(bound)));
     }
     let search = Search::new(instance, make, cfg);
     let covers = search.exp.covers_instance();
@@ -206,12 +199,12 @@ pub(crate) fn solve_seeded<'a, E: Expand>(
         Err(SolveError::Interrupted) | Err(SolveError::StateLimitExceeded { .. })
             if seed.is_some() =>
         {
-            let seed = seed.expect("guarded");
-            let mut stats = extra(&seed.trace);
+            let (trace, cost) = seed.expect("guarded");
+            let mut stats = extra(&trace);
             stats.set("degraded", 1);
             // a seed that meets the lower bound genuinely is optimal
-            let quality = upper_bound_quality(instance, seed.cost);
-            Solution::validated(instance, seed.trace, quality, stats)
+            let quality = upper_bound_quality(instance, cost);
+            Solution::validated(instance, trace, quality, stats)
         }
         Err(e) => Err(e),
     }
